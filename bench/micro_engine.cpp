@@ -1,12 +1,14 @@
 // google-benchmark micro-benchmarks for the simulation engines: SSA step
 // cost across models, CWC tree-matching vs the flat baseline (the "CWC is
 // significantly more complex than a plain Gillespie algorithm" overhead,
-// paper §IV), plus the statistics kernels feeding the DES calibration.
+// paper §IV), plus the statistics kernels feeding the DES calibration and
+// the on-line analysis stage they run in.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
 
+#include "core/cwcsim.hpp"
 #include "models/models.hpp"
 #include "stats/stats.hpp"
 #include "util/rng.hpp"
@@ -275,6 +277,54 @@ void bm_kmeans(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_kmeans)->Arg(128)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+// The on-line analysis stage at the paper's Fig. 2 shape: a pre-captured
+// Neurospora stream (256 trajectories, t=40, tau 0.25: 161 cuts) pushed
+// through cwcsim::online_analysis with window 16 / slide 1 and k=2. Fed
+// time-major; the sink drops the windows. items/sec reads as cuts/sec.
+class dropping_sink final : public cwcsim::event_sink {
+ public:
+  void window(cwcsim::window_summary&& w) override {
+    benchmark::DoNotOptimize(w.cuts.data());
+  }
+  void trajectory_done(const cwcsim::task_done&) override {}
+  bool stop_requested() const noexcept override { return false; }
+};
+
+void bm_online_analysis_slide1(benchmark::State& state) {
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 256;
+  cfg.t_end = 40.0;
+  cfg.sample_period = 0.25;
+  cfg.window_size = 16;
+  cfg.window_slide = 1;
+  cfg.kmeans_k = 2;
+  cfg.seed = 1;
+  const auto m = models::make_neurospora_cwc({});
+  cwcsim::model_ref ref;
+  ref.tree = &m;
+  ref.compile();
+  std::vector<std::vector<cwc::trajectory_sample>> samples(cfg.num_trajectories);
+  for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i) {
+    auto eng = ref.make_engine(cfg.seed, i);
+    eng.run_to(cfg.t_end, cfg.sample_period, samples[i]);
+  }
+  const std::size_t cuts = cfg.num_samples();
+  for (auto _ : state) {
+    dropping_sink sink;
+    cwcsim::online_analysis analysis(cfg, ref.num_observables(), sink);
+    for (std::size_t k = 0; k < cuts; ++k)
+      for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i)
+        analysis.ingest(i, samples[i][k]);
+    analysis.finish();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cuts));
+  state.counters["ns_per_cut"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(cuts),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(bm_online_analysis_slide1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -122,10 +122,8 @@ struct quantum_record {
   std::uint32_t samples = 0;     ///< samples emitted in this quantum
 };
 
-/// Result of a statistical engine over one window (per-cut summaries).
-struct window_summary {
-  std::uint64_t first_sample = 0;
-  std::vector<stats::cut_summary> cuts;
-};
+/// One analysis window: the summaries of its consecutive cuts. Each cut is
+/// summarized once, and every window it belongs to carries a copy.
+using window_summary = stats::basic_window<stats::cut_summary>;
 
 }  // namespace cwcsim

@@ -139,6 +139,41 @@ void trajectory_aligner::on_eos() {
   util::ensures(assembler_.drained(), "alignment buffer not drained at EOS");
 }
 
+// -------------------------------------------------------------- stat engine
+
+stat_engine_node::stat_engine_node(const sim_config& cfg) : cfg_(&cfg) {
+  set_name("stat-engine");
+}
+
+ff::outcome stat_engine_node::svc(ff::token t) {
+  const auto cut = t.take<stats::trajectory_cut>();
+  ++processed_;
+  send_out(ff::token::of(
+      stats::summarize_cut(cut, cfg_->kmeans_k, cfg_->seed)));
+  return ff::outcome::more;
+}
+
+// ------------------------------------------------------------------ reorder
+
+reorder_gather::reorder_gather() { set_name("reorder-gather"); }
+
+ff::outcome reorder_gather::svc(ff::token t) {
+  auto s = t.take<stats::cut_summary>();
+  held_.emplace(s.sample_index, std::move(s));
+  while (!held_.empty() && held_.begin()->first == next_) {
+    auto node = held_.extract(held_.begin());
+    send_out(ff::token::of(std::move(node.mapped())));
+    ++next_;
+  }
+  return ff::outcome::more;
+}
+
+void reorder_gather::on_eos() {
+  // The aligner emits every cut index once, consecutively from 0, so each
+  // held summary was released by its predecessor's arrival.
+  util::ensures(held_.empty(), "reorder_gather: gap in the cut stream");
+}
+
 // ---------------------------------------------------------------- windowing
 
 window_generator::window_generator(const sim_config& cfg)
@@ -147,55 +182,13 @@ window_generator::window_generator(const sim_config& cfg)
 }
 
 ff::outcome window_generator::svc(ff::token t) {
-  for (auto& w : builder_.push(t.take<stats::trajectory_cut>()))
+  for (auto& w : builder_.push(t.take<stats::cut_summary>()))
     send_out(ff::token::of(std::move(w)));
   return ff::outcome::more;
 }
 
 void window_generator::on_eos() {
   for (auto& w : builder_.flush()) send_out(ff::token::of(std::move(w)));
-}
-
-// -------------------------------------------------------------- stat engine
-
-stat_engine_node::stat_engine_node(const sim_config& cfg) : cfg_(&cfg) {
-  set_name("stat-engine");
-}
-
-ff::outcome stat_engine_node::svc(ff::token t) {
-  const auto w = t.take<stats::trajectory_window>();
-  window_summary out;
-  out.first_sample = w.first_sample;
-  out.cuts.reserve(w.cuts.size());
-  for (const auto& cut : w.cuts)
-    out.cuts.push_back(stats::summarize_cut(cut, cfg_->kmeans_k, cfg_->seed));
-  ++processed_;
-  send_out(ff::token::of(std::move(out)));
-  return ff::outcome::more;
-}
-
-// ------------------------------------------------------------------ reorder
-
-reorder_gather::reorder_gather(std::uint64_t slide) : slide_(slide) {
-  set_name("reorder-gather");
-  util::expects(slide > 0, "reorder_gather: slide must be positive");
-}
-
-ff::outcome reorder_gather::svc(ff::token t) {
-  auto w = t.take<window_summary>();
-  held_.emplace(w.first_sample, std::move(w));
-  while (!held_.empty() && held_.begin()->first == next_) {
-    auto node = held_.extract(held_.begin());
-    send_out(ff::token::of(std::move(node.mapped())));
-    next_ += slide_;
-  }
-  return ff::outcome::more;
-}
-
-void reorder_gather::on_eos() {
-  // A trailing partial window may sit at an off-grid key; drain in order.
-  for (auto& [k, w] : held_) send_out(ff::token::of(std::move(w)));
-  held_.clear();
 }
 
 // --------------------------------------------------------------------- sink

@@ -3,8 +3,13 @@
 //
 //  simulation pipeline: task_generator -> [task_scheduler -> sim_engine_node*
 //                       (feedback)] -> trajectory_aligner
-//  analysis pipeline:   window_generator -> [stat_engine_node*] ->
-//                       reorder_gather -> result_sink
+//  analysis pipeline:   [stat_engine_node* -> reorder_gather] ->
+//                       window_generator -> result_sink
+//
+// The statistics farm summarizes each cut once, the gather restores cut
+// order, and the window stage groups the summaries into sliding windows:
+// with overlapping windows (slide < size) a window carries copies of its
+// cuts' summaries rather than re-summarizing them.
 #pragma once
 
 #include <functional>
@@ -114,7 +119,36 @@ class trajectory_aligner final : public ff::node {
   const event_sink* events_;
 };
 
-/// Analysis stage 1: groups the cut stream into sliding windows.
+/// Analysis farm worker: the statistics of one cut (mean/variance/median
+/// per observable and k-means clustering of trajectories).
+class stat_engine_node final : public ff::node {
+ public:
+  explicit stat_engine_node(const sim_config& cfg);
+  ff::outcome svc(ff::token t) override;
+
+  std::uint64_t cuts_processed() const noexcept { return processed_; }
+
+ private:
+  const sim_config* cfg_;
+  std::uint64_t processed_ = 0;
+};
+
+/// Analysis farm collector: restores cut order (workers finish out of
+/// order) — the "gather" box of Fig. 2. Cut summaries are keyed by
+/// sample_index, which the aligner emits consecutively from 0.
+class reorder_gather final : public ff::node {
+ public:
+  reorder_gather();
+  ff::outcome svc(ff::token t) override;
+  void on_eos() override;
+
+ private:
+  std::map<std::uint64_t, stats::cut_summary> held_;  // keyed by sample_index
+  std::uint64_t next_ = 0;
+};
+
+/// Analysis stage after the gather: groups the ordered cut summaries into
+/// sliding windows.
 class window_generator final : public ff::node {
  public:
   explicit window_generator(const sim_config& cfg);
@@ -122,39 +156,10 @@ class window_generator final : public ff::node {
   void on_eos() override;
 
  private:
-  stats::sliding_window_builder builder_;
+  stats::basic_sliding_window_builder<stats::cut_summary> builder_;
 };
 
-/// Analysis farm worker: per-window statistics (mean/variance/median per
-/// cut and k-means clustering of trajectories).
-class stat_engine_node final : public ff::node {
- public:
-  explicit stat_engine_node(const sim_config& cfg);
-  ff::outcome svc(ff::token t) override;
-
-  std::uint64_t windows_processed() const noexcept { return processed_; }
-
- private:
-  const sim_config* cfg_;
-  std::uint64_t processed_ = 0;
-};
-
-/// Analysis collector: restores window order (workers finish out of order)
-/// before streaming to the sink — the "gather" box of Fig. 2.
-class reorder_gather final : public ff::node {
- public:
-  /// Windows are keyed by first_sample and spaced by `slide`.
-  explicit reorder_gather(std::uint64_t slide);
-  ff::outcome svc(ff::token t) override;
-  void on_eos() override;
-
- private:
-  std::map<std::uint64_t, window_summary> held_;  // keyed by first_sample
-  std::uint64_t slide_;
-  std::uint64_t next_ = 0;
-};
-
-/// Terminal stage: hands each ordered summary to a consumer as the gather
+/// Terminal stage: hands each ordered window to a consumer as the window
 /// stage emits it (stands in for the GUI/storage of Fig. 2). The consumer
 /// is either a collecting simulation_result (batch mode) or the session's
 /// event sink (streaming mode) — no terminal gather-then-copy either way.

@@ -1,9 +1,15 @@
-// The master-side align -> sliding-window -> summarize composition shared
+// The master-side align -> summarize -> sliding-window composition shared
 // by every backend that runs the analysis stages inline on one thread (the
-// distributed master and the GPU host loop). Keeping it in one place is
-// what makes the cross-backend bit-exactness guarantee durable: every
-// deployment summarizes windows with the same cut assembly, the same
-// window grouping, and the same summarize_cut parameters.
+// batched multicore driver, the distributed master, the GPU host loop and
+// the run server). Keeping it in one place is what makes the cross-backend
+// bit-exactness guarantee durable: every deployment assembles the same
+// cuts, summarizes each with the same summarize_cut parameters, and groups
+// the summaries into the same windows.
+//
+// Each cut is summarized once, as the assembler releases it; the windows
+// are built over the summaries. summarize_cut(cut, k, seed) does not depend
+// on the window, so an overlapping window (slide < size) carries copies of
+// summaries instead of re-summarizing its cuts.
 #pragma once
 
 #include "core/alignment.hpp"
@@ -20,11 +26,13 @@ class online_analysis {
         assembler_(cfg, num_observables),
         builder_(cfg.window_size, cfg.window_slide) {}
 
-  /// Feed one sample; completed cuts roll into windows and summaries flow
-  /// to the sink in time order, on-line.
+  /// Feed one sample; completed cuts are summarized, roll into windows, and
+  /// windows flow to the sink in time order, on-line.
   void ingest(std::uint64_t trajectory, const cwc::trajectory_sample& s) {
     assembler_.ingest(trajectory, s, [this](stats::trajectory_cut&& cut) {
-      for (auto& w : builder_.push(std::move(cut))) summarize(std::move(w));
+      for (auto& w : builder_.push(
+               stats::summarize_cut(cut, cfg_->kmeans_k, cfg_->seed)))
+        sink_->window(std::move(w));
     });
   }
 
@@ -33,26 +41,17 @@ class online_analysis {
   /// upstream and must not silently disappear; a cancelled run
   /// legitimately drops the cuts its retired trajectories never filled.
   void finish() {
-    for (auto& w : builder_.flush()) summarize(std::move(w));
+    for (auto& w : builder_.flush()) sink_->window(std::move(w));
     if (!sink_->stop_requested())
       util::ensures(assembler_.drained(),
                     "alignment buffer not drained at EOS");
   }
 
  private:
-  void summarize(stats::trajectory_window&& w) {
-    window_summary s;
-    s.first_sample = w.first_sample;
-    s.cuts.reserve(w.cuts.size());
-    for (const auto& cut : w.cuts)
-      s.cuts.push_back(stats::summarize_cut(cut, cfg_->kmeans_k, cfg_->seed));
-    sink_->window(std::move(s));
-  }
-
   const sim_config* cfg_;
   event_sink* sink_;
   cut_assembler assembler_;
-  stats::sliding_window_builder builder_;
+  stats::basic_sliding_window_builder<stats::cut_summary> builder_;
 };
 
 }  // namespace cwcsim

@@ -45,15 +45,17 @@ simulation_result run_multicore_pipeline(const model_ref& model,
       cfg, model.num_observables(), sink));
 
   // ---- analysis pipeline ----------------------------------------------
-  pipe.add_stage(std::make_unique<window_generator>(cfg));
-
+  // Summarize each cut once on the farm, restore cut order, then window
+  // the summaries.
   std::vector<std::unique_ptr<ff::node>> stat_workers;
   for (unsigned w = 0; w < cfg.stat_engines; ++w)
     stat_workers.push_back(std::make_unique<stat_engine_node>(cfg));
   auto stat_farm = std::make_unique<ff::farm>(std::move(stat_workers));
   stat_farm->set_dispatch(ff::out_policy::on_demand)
-      .set_collector(std::make_unique<reorder_gather>(cfg.window_slide));
+      .set_collector(std::make_unique<reorder_gather>());
   pipe.add_stage(std::move(stat_farm));
+
+  pipe.add_stage(std::make_unique<window_generator>(cfg));
 
   // Terminal stage: stream summaries into the session sink, or collect
   // them for the batch wrapper — no gather-then-copy in either mode.
@@ -102,7 +104,7 @@ class multicore_driver final : public backend_driver {
 /// The opt-in batched shared-memory path (multicore{batch_width}): slices
 /// the campaign into SoA batch engines of batch_width lanes, advances them
 /// quantum-lockstep on a persistent worker pool, and runs the standard
-/// align -> window -> summarize analysis inline between rounds. Windows,
+/// align -> summarize -> window analysis inline between rounds. Windows,
 /// completions, and sample paths are bit-identical to the per-engine farm
 /// (the batch engine's lane-exactness guarantee); only the scheduling
 /// differs. Trace capture stays on the farm (per-quantum wall clocks of a

@@ -19,6 +19,12 @@ struct sim_outcome;
 /// statistics jobs (window_size cuts every window_slide completions —
 /// overlapping when slide < size), and executes the jobs on a CPU resource
 /// bounded by the stat-farm concurrency.
+///
+/// The job cost is the paper's: a window job summarizes all window_size of
+/// its cuts, which keeps Fig. 3 faithful to the paper's analysis farm. The
+/// implementation in src/core summarizes each cut once and windows the
+/// summaries, so with overlapping windows this model upper-bounds its
+/// analysis cost (by up to window_size / window_slide).
 class analysis_model {
  public:
   analysis_model(resource& cpu, const workload& w, const calibration& cal,

@@ -1,7 +1,7 @@
 // The distributed deployment of the CWC simulation-analysis pipeline
 // (paper §IV-B, Fig. 2 bottom): a virtual cluster of multicore hosts, each
 // running a farm of simulation engines, streaming serialized results to a
-// master that runs the alignment + sliding-window + statistics stages
+// master that runs the alignment + statistics + sliding-window stages
 // on-line.
 //
 // Scheduling is ELASTIC by default (the paper's Fig. 6 cloud-hetero

@@ -33,52 +33,4 @@ cut_summary summarize_cut(const trajectory_cut& cut, std::uint32_t kmeans_k,
   return s;
 }
 
-sliding_window_builder::sliding_window_builder(std::size_t size, std::size_t slide)
-    : size_(size), slide_(slide) {
-  util::expects(size > 0 && slide > 0, "window size and slide must be positive");
-  util::expects(slide <= size, "slide larger than window loses cuts");
-}
-
-std::vector<trajectory_window> sliding_window_builder::push(trajectory_cut cut) {
-  if (saw_any_) {
-    util::expects(cut.sample_index == last_index_ + 1,
-                  "cuts must arrive consecutively");
-  } else {
-    next_start_ = cut.sample_index;
-    saw_any_ = true;
-  }
-  last_index_ = cut.sample_index;
-  buffer_.push_back(std::move(cut));
-
-  std::vector<trajectory_window> out;
-  while (!buffer_.empty() && buffer_.back().sample_index + 1 >= next_start_ + size_ &&
-         buffer_.front().sample_index <= next_start_) {
-    trajectory_window w;
-    w.first_sample = next_start_;
-    for (const auto& c : buffer_) {
-      if (c.sample_index >= next_start_ && c.sample_index < next_start_ + size_)
-        w.cuts.push_back(c);
-    }
-    if (w.cuts.size() == size_) out.push_back(std::move(w));
-    next_start_ += slide_;
-    // Drop cuts no future window will need.
-    while (!buffer_.empty() && buffer_.front().sample_index < next_start_)
-      buffer_.erase(buffer_.begin());
-  }
-  return out;
-}
-
-std::vector<trajectory_window> sliding_window_builder::flush() {
-  std::vector<trajectory_window> out;
-  if (!buffer_.empty()) {
-    trajectory_window w;
-    w.first_sample = next_start_;
-    for (auto& c : buffer_)
-      if (c.sample_index >= next_start_) w.cuts.push_back(std::move(c));
-    if (!w.cuts.empty()) out.push_back(std::move(w));
-    buffer_.clear();
-  }
-  return out;
-}
-
 }  // namespace stats

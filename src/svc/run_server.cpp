@@ -170,8 +170,12 @@ struct session final : cwcsim::event_sink {
     return false;
   }
 
-  /// Queue one sequenced stream frame and ship what fits.
+  /// Queue one sequenced stream frame and ship what fits. The frame stays
+  /// in the replay buffer until acked — on a completed session, for
+  /// session_retention_s — so it is kept at its exact size: the encoder's
+  /// geometric growth can leave up to half of it as slack.
   void push_stream_locked(std::uint64_t seq, dist::byte_buffer frame) {
+    frame.shrink_to_fit();
     pending.push_back(stream_frame{seq, std::move(frame)});
     flush_locked();
   }

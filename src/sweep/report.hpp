@@ -1,6 +1,6 @@
 // The queryable result of a sweep campaign: per-cell ONLINE reductions —
 // mean/variance (Welford), P² quantile estimates, and k-means cluster
-// splits per observable per sample point — folded at window boundaries
+// splits per observable per sample point — folded as each cut completes
 // while the campaign streams, never from retained raw trajectories.
 //
 // Determinism contract: for a fixed (model, plan, sim_config) the report
