@@ -27,7 +27,8 @@ namespace {
 
 struct live_run {
   double wall = 0.0;
-  dist::dist_result r;
+  std::vector<cwcsim::window_summary> windows;
+  cwcsim::run_report::network_stats net;
 };
 
 live_run run_live(const cwc::model& m, const cwcsim::sim_config& cfg,
@@ -44,9 +45,14 @@ live_run run_live(const cwc::model& m, const cwcsim::sim_config& cfg,
   dc.kills = std::move(kills);
 
   util::stopwatch sw;
+  cwcsim::collecting_sink sink;
+  cwcsim::run_report report;
+  dist::cluster_driver(cwcsim::model_ref{&m, nullptr, nullptr}, std::move(dc))
+      .run(sink, report);
   live_run o;
-  o.r = dist::distributed_simulator(m, dc).run();
   o.wall = sw.elapsed_s();
+  o.windows = sink.take_windows();
+  o.net = std::move(*report.network);
   return o;
 }
 
@@ -99,47 +105,44 @@ int live_cluster_section(bool tiny) {
   const auto stat_h =
       run_live(m, cfg, dist::schedule_mode::static_block, {}, {});
   const auto elas_h = run_live(m, cfg, dist::schedule_mode::elastic, {}, {});
-  const bool exact_h =
-      windows_bit_exact(stat_h.r.result.windows, elas_h.r.result.windows);
+  const bool exact_h = windows_bit_exact(stat_h.windows, elas_h.windows);
 
   // One 4x-slower host: static is dragged to the straggler's pace, the
   // elastic pull rebalances around it.
   const auto stat_s =
       run_live(m, cfg, dist::schedule_mode::static_block, hetero, {});
   const auto elas_s = run_live(m, cfg, dist::schedule_mode::elastic, hetero, {});
-  const bool exact_s =
-      windows_bit_exact(stat_h.r.result.windows, elas_s.r.result.windows);
+  const bool exact_s = windows_bit_exact(stat_h.windows, elas_s.windows);
   const double speedup = stat_s.wall / elas_s.wall;
 
   // Straggler AND a dead host: elastic-only, still bit-exact.
   const auto elas_k =
       run_live(m, cfg, dist::schedule_mode::elastic, hetero, kill3);
-  const bool exact_k =
-      windows_bit_exact(stat_h.r.result.windows, elas_k.r.result.windows);
+  const bool exact_k = windows_bit_exact(stat_h.windows, elas_k.windows);
 
   util::table t({"scenario", "static (s)", "elastic (s)", "speedup",
                  "bit-exact", "reissued"});
   t.add_row({"homogeneous", util::table::num(stat_h.wall, 2),
              util::table::num(elas_h.wall, 2),
              util::table::num(stat_h.wall / elas_h.wall, 2) + "x",
-             exact_h ? "yes" : "NO", std::to_string(elas_h.r.reissued)});
+             exact_h ? "yes" : "NO", std::to_string(elas_h.net.reissued)});
   t.add_row({"1 slow host (0.25x)", util::table::num(stat_s.wall, 2),
              util::table::num(elas_s.wall, 2),
              util::table::num(speedup, 2) + "x", exact_s ? "yes" : "NO",
-             std::to_string(elas_s.r.reissued)});
+             std::to_string(elas_s.net.reissued)});
   t.add_row({"1 slow + 1 killed", "-", util::table::num(elas_k.wall, 2), "-",
-             exact_k ? "yes" : "NO", std::to_string(elas_k.r.reissued)});
+             exact_k ? "yes" : "NO", std::to_string(elas_k.net.reissued)});
   std::printf("%s", t.to_string().c_str());
   std::printf(
       "elastic w/ kill: grants=%llu duplicates=%llu dropped=%llu "
       "host_quanta=[%llu %llu %llu %llu]\n",
-      static_cast<unsigned long long>(elas_k.r.grants),
-      static_cast<unsigned long long>(elas_k.r.duplicate_quanta),
-      static_cast<unsigned long long>(elas_k.r.messages_dropped),
-      static_cast<unsigned long long>(elas_k.r.host_quanta[0]),
-      static_cast<unsigned long long>(elas_k.r.host_quanta[1]),
-      static_cast<unsigned long long>(elas_k.r.host_quanta[2]),
-      static_cast<unsigned long long>(elas_k.r.host_quanta[3]));
+      static_cast<unsigned long long>(elas_k.net.grants),
+      static_cast<unsigned long long>(elas_k.net.duplicate_quanta),
+      static_cast<unsigned long long>(elas_k.net.messages_dropped),
+      static_cast<unsigned long long>(elas_k.net.host_quanta[0]),
+      static_cast<unsigned long long>(elas_k.net.host_quanta[1]),
+      static_cast<unsigned long long>(elas_k.net.host_quanta[2]),
+      static_cast<unsigned long long>(elas_k.net.host_quanta[3]));
 
   int failures = 0;
   if (!exact_h || !exact_s || !exact_k) {

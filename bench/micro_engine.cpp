@@ -16,7 +16,7 @@
 namespace {
 
 void bm_cwc_step_neurospora(benchmark::State& state) {
-  const auto m = models::make_neurospora_cwc({});
+  const auto m = cwc::compiled_model::compile(models::make_neurospora_cwc({}));
   cwc::engine eng(m, 1, 0);
   for (auto _ : state) {
     if (!eng.step()) {
@@ -32,7 +32,7 @@ BENCHMARK(bm_cwc_step_neurospora);
 // The naive full-recollect baseline the incremental cache is measured
 // against (same sample path bit-for-bit; see engine_mode::reference).
 void bm_cwc_step_neurospora_reference(benchmark::State& state) {
-  const auto m = models::make_neurospora_cwc({});
+  const auto m = cwc::compiled_model::compile(models::make_neurospora_cwc({}));
   cwc::engine eng(m, 1, 0, cwc::engine_mode::reference);
   for (auto _ : state) {
     if (!eng.step()) {
@@ -47,7 +47,8 @@ void bm_cwc_step_neurospora_reference(benchmark::State& state) {
 BENCHMARK(bm_cwc_step_neurospora_reference);
 
 void bm_flat_step_neurospora(benchmark::State& state) {
-  const auto net = models::make_neurospora_flat({});
+  const auto net =
+      cwc::compiled_model::compile(models::make_neurospora_flat({}));
   cwc::flat_engine eng(net, 1, 0);
   std::uint64_t id = 0;
   for (auto _ : state) {
@@ -62,7 +63,8 @@ void bm_flat_step_neurospora(benchmark::State& state) {
 BENCHMARK(bm_flat_step_neurospora);
 
 void bm_flat_step_lv(benchmark::State& state) {
-  const auto net = models::make_lotka_volterra({});
+  const auto net =
+      cwc::compiled_model::compile(models::make_lotka_volterra({}));
   cwc::flat_engine eng(net, 1, 0);
   std::uint64_t id = 0;
   for (auto _ : state) {
@@ -77,7 +79,8 @@ void bm_flat_step_lv(benchmark::State& state) {
 BENCHMARK(bm_flat_step_lv);
 
 void bm_cwc_step_compartment_demo(benchmark::State& state) {
-  const auto m = models::make_compartment_demo({});
+  const auto m =
+      cwc::compiled_model::compile(models::make_compartment_demo({}));
   cwc::engine eng(m, 1, 0);
   std::uint64_t id = 0;
   for (auto _ : state) {
@@ -202,26 +205,12 @@ void bm_batch_step_compartment_demo_w(benchmark::State& state) {
 }
 BENCHMARK(bm_batch_step_compartment_demo_w)->Arg(8)->Arg(64)->Arg(128);
 
-// Per-trajectory engine setup cost, the knob the compile-once layer turns:
-// a farm of 10⁴–10⁵ trajectories constructs that many engines. The legacy
-// path recompiles the static per-model tables (applicable-rule lists, the
-// rule→rule dependency index, footprints) for every engine; the compiled
-// path shares one immutable cwc::compiled_model across the whole batch.
-// Each iteration constructs 10⁴ engines, so items/sec reads as engines/sec.
+// Per-trajectory engine setup cost: a farm of 10⁴–10⁵ trajectories
+// constructs that many engines, all sharing one immutable
+// cwc::compiled_model, so construction is the initial-state clone plus the
+// match-cache warm-up. Each iteration constructs 10⁴ engines, so items/sec
+// reads as engines/sec.
 constexpr int kConstructBatch = 10000;
-
-void bm_engine_construct_legacy(benchmark::State& state) {
-  const auto m = models::make_neurospora_cwc({});
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kConstructBatch; ++i) {
-      cwc::engine eng(m, 1, ++id);
-      benchmark::DoNotOptimize(eng.time());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kConstructBatch);
-}
-BENCHMARK(bm_engine_construct_legacy)->Unit(benchmark::kMillisecond);
 
 void bm_engine_construct_compiled(benchmark::State& state) {
   const auto m = models::make_neurospora_cwc({});
@@ -238,7 +227,7 @@ void bm_engine_construct_compiled(benchmark::State& state) {
 BENCHMARK(bm_engine_construct_compiled)->Unit(benchmark::kMillisecond);
 
 void bm_quantum_run(benchmark::State& state) {
-  const auto m = models::make_neurospora_cwc({});
+  const auto m = cwc::compiled_model::compile(models::make_neurospora_cwc({}));
   const double quantum = static_cast<double>(state.range(0)) / 10.0;
   std::uint64_t id = 0;
   for (auto _ : state) {

@@ -188,8 +188,9 @@ class backend_driver {
 namespace detail {
 
 // Factory per descriptor. Implementations live with their runtimes
-// (core/simulator.cpp, dist/dist_backend.cpp, simt/gpu_backend.cpp) and
-// resolve when linking the cwcsim umbrella library.
+// (core/multicore_backend.cpp, dist/dist_backend.cpp, simt/gpu_backend.cpp,
+// svc/service_backend.cpp) and resolve when linking the cwcsim umbrella
+// library.
 std::unique_ptr<backend_driver> make_multicore_driver(const model_ref& model,
                                                       const sim_config& cfg,
                                                       const multicore& b);

@@ -1,7 +1,7 @@
 // The streaming-event surface between backends and their consumer: what a
 // running deployment pushes results into, and the cooperative stop flag it
 // polls. Split from backend.hpp so the core pipeline layer (nodes,
-// simulator) can depend on the event contract without seeing the
+// online_analysis) can depend on the event contract without seeing the
 // backend-descriptor headers that sit above it.
 #pragma once
 
@@ -59,8 +59,9 @@ class event_sink {
   virtual void cell_done(std::uint32_t /*cell*/) {}
 };
 
-/// event_sink that simply collects the stream — used by the legacy batch
-/// wrappers and handy in tests.
+/// event_sink that simply collects the window stream and never requests
+/// stop: the test fake for driving a backend_driver or the analysis stages
+/// directly, outside a session.
 class collecting_sink final : public event_sink {
  public:
   void window(window_summary&& w) override { windows_.push_back(std::move(w)); }

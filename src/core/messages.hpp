@@ -16,17 +16,11 @@ namespace cwcsim {
 /// Either stochastic engine, same quantum/sampling contract.
 class any_engine {
  public:
-  /// Farm path: construct from the shared compiled artifact (tree or flat
-  /// dispatch happens on the artifact's kind). No per-trajectory recompile.
+  /// Construct from the shared compiled artifact (tree or flat dispatch
+  /// happens on the artifact's kind). No per-trajectory recompile.
   any_engine(std::shared_ptr<const cwc::compiled_model> cm, std::uint64_t seed,
              std::uint64_t id)
       : impl_(make_impl(std::move(cm), seed, id)) {}
-
-  // Legacy recompile paths (compile a private artifact per engine).
-  any_engine(const cwc::model& m, std::uint64_t seed, std::uint64_t id)
-      : impl_(std::in_place_type<cwc::engine>, m, seed, id) {}
-  any_engine(const cwc::reaction_network& n, std::uint64_t seed, std::uint64_t id)
-      : impl_(std::in_place_type<cwc::flat_engine>, n, seed, id) {}
 
   double time() const {
     return std::visit([](const auto& e) { return e.time(); }, impl_);
@@ -79,10 +73,9 @@ struct model_ref {
     if (compiled != nullptr) return compiled->num_observables();
     return tree != nullptr ? tree->observables().size() : flat->num_species();
   }
+  /// An engine on the shared artifact; call compile() first.
   any_engine make_engine(std::uint64_t seed, std::uint64_t id) const {
-    if (compiled != nullptr) return any_engine(compiled, seed, id);
-    if (tree != nullptr) return any_engine(*tree, seed, id);
-    return any_engine(*flat, seed, id);
+    return any_engine(compiled, seed, id);
   }
 };
 

@@ -8,12 +8,13 @@
 //   s.on_window([](const cwcsim::window_summary& w) { /* stream it */ });
 //   auto report = s.wait();                     // starts, streams, joins
 //
-// Windows reach on_window subscribers while the simulation is still
-// running — the paper's on-line analysis surface — and the same ordered
-// stream is collected into report.result.windows, bit-exact with the batch
-// cwcsim::simulate() output. request_stop() cancels cooperatively: the run
-// drains at the next scheduling boundary and wait() returns a partial
-// report with report.stopped == true.
+// This is the only public way to run a campaign. Windows reach on_window
+// subscribers while the simulation is still running — the paper's on-line
+// analysis surface — and the same ordered stream is collected into
+// report.result.windows, bit-exact across backends for the same model,
+// seed and config. request_stop() cancels cooperatively: the run drains at
+// the next scheduling boundary and wait() returns a partial report with
+// report.stopped == true.
 //
 // For the one-shot case there is cwcsim::run(model, cfg, backend).
 #pragma once

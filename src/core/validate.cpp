@@ -2,6 +2,8 @@
 // backend (and run_builder) funnels through, replacing the per-backend
 // ad-hoc checks. Lives in cwcsim_core so the dist/simt runtimes below the
 // session facade can call it too.
+#include <cmath>
+
 #include "core/backend.hpp"
 
 namespace cwcsim {
@@ -17,8 +19,10 @@ void validate(const sim_config& cfg) {
     throw config_error("sample_period", "sample period must be positive");
   if (!(cfg.quantum > 0.0))
     throw config_error("quantum", "quantum must be positive");
-  if (cfg.t_end < 0.0)
-    throw config_error("t_end", "simulation horizon must be non-negative");
+  // NaN-safe: a NaN or infinite horizon has no sample grid and no end.
+  if (!(cfg.t_end >= 0.0) || !std::isfinite(cfg.t_end))
+    throw config_error("t_end",
+                       "simulation horizon must be finite and non-negative");
   if (cfg.window_size == 0)
     throw config_error("window_size", "windows must hold at least one cut");
   if (cfg.window_slide == 0)
@@ -42,16 +46,16 @@ void validate(const sim_config& cfg, const backend& b) {
       if (d.num_hosts > cfg.num_trajectories)
         throw config_error("distributed.num_hosts",
                            "more hosts than trajectories");
-      if (d.network.latency_s < 0.0)
+      if (!(d.network.latency_s >= 0.0))
         throw config_error("distributed.network.latency_s",
-                           "negative network latency");
-      if (d.network.bytes_per_s < 0.0)
+                           "network latency must be non-negative");
+      if (!(d.network.bytes_per_s >= 0.0))
         throw config_error("distributed.network.bytes_per_s",
-                           "negative network bandwidth");
-      if (d.network.drop_prob < 0.0 || d.network.drop_prob >= 1.0)
+                           "network bandwidth must be non-negative");
+      if (!(d.network.drop_prob >= 0.0 && d.network.drop_prob < 1.0))
         throw config_error("distributed.network.drop_prob",
                            "drop probability must be in [0, 1)");
-      if (d.network.dup_prob < 0.0 || d.network.dup_prob >= 1.0)
+      if (!(d.network.dup_prob >= 0.0 && d.network.dup_prob < 1.0))
         throw config_error("distributed.network.dup_prob",
                            "duplication probability must be in [0, 1)");
       if (!(d.network.jitter_s >= 0.0))
@@ -79,7 +83,7 @@ void validate(const sim_config& cfg, const backend& b) {
         throw config_error("gpu.device.warp_size", "warps need lanes");
       if (g.device.smx == 0 || g.device.cores_per_smx == 0)
         throw config_error("gpu.device", "device has no cores");
-      if (g.coherence_time < 0.0)
+      if (!(g.coherence_time >= 0.0))
         throw config_error("gpu.coherence_time",
                            "coherence time must be non-negative");
     }

@@ -18,13 +18,9 @@ namespace cwc {
 
 class flat_engine {
  public:
-  /// Construct from a shared compiled artifact (the farm path); the engine
-  /// keeps the artifact alive.
+  /// Construct from a shared compiled artifact; the engine keeps the
+  /// artifact alive.
   flat_engine(std::shared_ptr<const compiled_model> cm, std::uint64_t seed,
-              std::uint64_t trajectory_id);
-
-  /// Legacy recompile path: compiles a private artifact for this engine.
-  flat_engine(const reaction_network& net, std::uint64_t seed,
               std::uint64_t trajectory_id);
 
   double time() const noexcept { return time_; }

@@ -54,16 +54,11 @@ enum class engine_mode {
 
 class engine {
  public:
-  /// Construct from a shared compiled artifact (the farm path): no static
-  /// tables are rebuilt — construction is just the initial-state clone plus
-  /// the match-cache warm-up. The engine keeps the artifact alive.
+  /// Construct from a shared compiled artifact: no static tables are
+  /// rebuilt — construction is just the initial-state clone plus the
+  /// match-cache warm-up. The engine keeps the artifact alive.
   engine(std::shared_ptr<const compiled_model> cm, std::uint64_t seed,
          std::uint64_t trajectory_id,
-         engine_mode mode = engine_mode::incremental);
-
-  /// Legacy recompile path: compiles a private artifact for this one
-  /// engine. Prefer sharing one compiled_model across the farm.
-  engine(const model& m, std::uint64_t seed, std::uint64_t trajectory_id,
          engine_mode mode = engine_mode::incremental);
 
   double time() const noexcept { return time_; }

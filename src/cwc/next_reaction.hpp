@@ -21,15 +21,11 @@ namespace cwc {
 
 class next_reaction_engine {
  public:
-  /// Construct from a shared compiled artifact (the farm path): the
-  /// reaction dependency graph comes precomputed from the compiler
-  /// (compiled_model::depends) instead of being rebuilt per trajectory.
+  /// Construct from a shared compiled artifact: the reaction dependency
+  /// graph comes precomputed from the compiler (compiled_model::depends)
+  /// instead of being rebuilt per trajectory.
   next_reaction_engine(std::shared_ptr<const compiled_model> cm,
                        std::uint64_t seed, std::uint64_t trajectory_id);
-
-  /// Legacy recompile path: compiles a private artifact for this engine.
-  next_reaction_engine(const reaction_network& net, std::uint64_t seed,
-                       std::uint64_t trajectory_id);
 
   double time() const noexcept { return time_; }
   const multiset& state() const noexcept { return state_; }

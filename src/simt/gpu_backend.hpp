@@ -1,32 +1,49 @@
-// The cwcsim::gpu backend driver: adapts the SIMT lockstep-kernel runtime
-// to the session facade's backend_driver contract. Constructed via
-// cwcsim::run_builder(...).backend(cwcsim::gpu{device, coherence}); exposed
-// here for direct use and for tests.
+// The cwcsim::gpu backend driver: the CWC simulator with the farm of
+// simulation engines replaced by ff_mapCUDA-style lockstep kernels on the
+// SIMT device model (paper §IV-C). Results are bit-for-bit identical to
+// the multicore backend for the same configuration — the per-trajectory
+// RNG streams make trajectories independent of where they execute — while
+// the device clock reports modeled GPU time in run_report::device.
+//
+// Sessions reach it through run_builder(...).backend(cwcsim::gpu{...}).
 #pragma once
 
-#include "core/backend.hpp"
-#include "simt/gpu_simulator.hpp"
+#include "core/cwcsim.hpp"
+#include "simt/device.hpp"
 
 namespace simt {
 
 class gpu_driver final : public cwcsim::backend_driver {
  public:
-  gpu_driver(const cwcsim::model_ref& model, const cwcsim::sim_config& cfg,
-             device_spec dev, double coherence_time,
-             std::size_t batch_width = 0)
-      : sim_(model, cfg, std::move(dev)) {
-    sim_.set_coherence_time(coherence_time);
-    sim_.set_batch_width(batch_width);
-  }
+  /// Validates `cfg`, compiles the model, and calibrates the per-step cost
+  /// the lane-time accounting uses. gpu::batch_width > 1 routes tree
+  /// models without custom laws through SoA batch engines: each kernel
+  /// advances whole batches in lockstep, with the same per-lane
+  /// virtual-time accounting and bit-identical results. Unbatchable
+  /// models (flat networks, custom laws) keep scalar lanes.
+  gpu_driver(cwcsim::model_ref model, const cwcsim::sim_config& cfg,
+             const cwcsim::gpu& desc);
 
   const char* name() const noexcept override { return "gpu"; }
 
-  void run(cwcsim::event_sink& sink, cwcsim::run_report& report) override {
-    sim_.run(sink, report);
-  }
+  /// Execute the campaign as a sequence of lockstep kernels. Cuts are
+  /// assembled between kernels, and each completed window summary and
+  /// retired trajectory flows through `sink` while later kernels still
+  /// execute; sink.stop_requested() is honoured at kernel boundaries.
+  /// Fills `report` (result.windows excepted — the sink's owner collects
+  /// the stream).
+  void run(cwcsim::event_sink& sink, cwcsim::run_report& report) override;
 
  private:
-  gpu_simulator sim_;
+  /// Per-quantum path-decoherence fraction of the divergence model.
+  double divergence_theta() const noexcept;
+  void run_scalar(cwcsim::event_sink& sink, cwcsim::run_report& report);
+  void run_batched(cwcsim::event_sink& sink, cwcsim::run_report& report);
+
+  cwcsim::model_ref model_;
+  cwcsim::sim_config cfg_;
+  cwcsim::gpu desc_;
+  double ns_per_step_;  ///< calibration for lane-time accounting
 };
 
 }  // namespace simt

@@ -1,12 +1,11 @@
-// Golden tests for the compile-once layer (cwc/compiled_model.hpp): every
-// engine built from a shared compiled artifact must produce bit-for-bit
-// the sample path of the legacy per-engine recompile path, across all
-// three engine kinds (tree direct-method, flat direct-method, flat
-// next-reaction) and all three backends (multicore/distributed/gpu,
-// extending the session_test lockstep pattern). Also proves, with a
-// counting global allocator, that per-trajectory engine construction no
-// longer allocates the static dependency tables, and pins the compiler's
-// flat dependency index against an independently-written reference.
+// Golden tests for the compile-once layer (cwc/compiled_model.hpp), the
+// one construction path for every engine: many engines interleaved on one
+// shared artifact stay independent, observable plans match the model's
+// tree walks, and all three backends (multicore/distributed/gpu) stream
+// bit-exact windows through the compiled path. Also proves, with a
+// counting global allocator, that per-trajectory engine construction does
+// not allocate the static dependency tables, and pins the compiler's flat
+// dependency index against an independently-written reference.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -26,62 +25,6 @@ void expect_same_samples(const std::vector<cwc::trajectory_sample>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].time, b[i].time) << "sample " << i;
     EXPECT_EQ(a[i].values, b[i].values) << "sample " << i;
-  }
-}
-
-// Tree engine: one shared artifact, many trajectories, both cache modes —
-// bit-identical to engines that recompiled privately (the legacy path).
-TEST(CompiledModel, TreeEngineBitExactVsLegacyRecompile) {
-  for (const bool demo : {false, true}) {
-    const cwc::model m = demo ? models::make_compartment_demo({})
-                              : models::make_neurospora_cwc({});
-    const auto cm = cwc::compiled_model::compile(m);
-    ASSERT_TRUE(cm->is_tree());
-
-    for (const auto mode :
-         {cwc::engine_mode::incremental, cwc::engine_mode::reference}) {
-      for (std::uint64_t id = 0; id < 3; ++id) {
-        cwc::engine legacy(m, 29, id, mode);           // private recompile
-        cwc::engine shared_eng(cm, 29, id, mode);      // shared artifact
-        std::vector<cwc::trajectory_sample> ls, ss;
-        // Drive the shared engine in small quanta against one legacy sweep
-        // so the quantum-deferral path is exercised too.
-        legacy.run_to(15.0, 0.5, ls);
-        for (double t = 0.0; t < 15.0;) {
-          t = std::min(t + 0.8, 15.0);
-          shared_eng.run_to(t, 0.5, ss);
-        }
-        expect_same_samples(ss, ls);
-        EXPECT_EQ(shared_eng.steps(), legacy.steps());
-        EXPECT_TRUE(shared_eng.state().equals(legacy.state()));
-        EXPECT_TRUE(shared_eng.check_match_cache());
-      }
-    }
-  }
-}
-
-// Flat direct-method and next-reaction engines from one shared artifact.
-TEST(CompiledModel, FlatEnginesBitExactVsLegacyRecompile) {
-  const auto net = models::make_neurospora_flat({});
-  const auto cm = cwc::compiled_model::compile(net);
-  ASSERT_FALSE(cm->is_tree());
-
-  for (std::uint64_t id = 0; id < 3; ++id) {
-    cwc::flat_engine legacy(net, 31, id);
-    cwc::flat_engine shared_eng(cm, 31, id);
-    std::vector<cwc::trajectory_sample> ls, ss;
-    legacy.run_to(20.0, 0.5, ls);
-    shared_eng.run_to(20.0, 0.5, ss);
-    expect_same_samples(ss, ls);
-    EXPECT_EQ(shared_eng.steps(), legacy.steps());
-
-    cwc::next_reaction_engine nrm_legacy(net, 31, id);
-    cwc::next_reaction_engine nrm_shared(cm, 31, id);
-    std::vector<cwc::trajectory_sample> nl, ns;
-    nrm_legacy.run_to(20.0, 0.5, nl);
-    nrm_shared.run_to(20.0, 0.5, ns);
-    expect_same_samples(ns, nl);
-    EXPECT_EQ(nrm_shared.steps(), nrm_legacy.steps());
   }
 }
 
@@ -164,8 +107,8 @@ TEST(CompiledModel, FlatDependencyIndexMatchesReference) {
 }
 
 // The point of the layer: constructing an engine from the shared artifact
-// allocates strictly less than the legacy recompile path, because the
-// dependency tables / slot maps / footprints are not rebuilt.
+// allocates strictly less than compiling a private artifact for it,
+// because the dependency tables / slot maps / footprints are not rebuilt.
 TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
   const auto m = models::make_neurospora_cwc({});
   const auto cm = cwc::compiled_model::compile(m);
@@ -177,14 +120,16 @@ TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
   };
 
   // Warm both paths once (gtest internals, lazy locale setup, ...).
-  (void)ctor_allocs([&] { cwc::engine e(m, 3, 0); });
+  (void)ctor_allocs(
+      [&] { cwc::engine e(cwc::compiled_model::compile(m), 3, 0); });
   (void)ctor_allocs([&] { cwc::engine e(cm, 3, 0); });
 
-  const std::uint64_t legacy = ctor_allocs([&] { cwc::engine e(m, 3, 1); });
+  const std::uint64_t legacy = ctor_allocs(
+      [&] { cwc::engine e(cwc::compiled_model::compile(m), 3, 1); });
   const std::uint64_t shared_path =
       ctor_allocs([&] { cwc::engine e(cm, 3, 1); });
 
-  // The legacy path compiles per engine: applicable-rule lists, slot maps,
+  // A private compile per engine rebuilds applicable-rule lists, slot maps,
   // four footprint bitmaps per rule and three redo lists per rule all get
   // allocated again. Sharing must cut construction allocations by well
   // more than those tables (neurospora: 6 rules -> dozens of vectors).
@@ -199,10 +144,13 @@ TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
   // The flat engines share the same property.
   const auto net = models::make_neurospora_flat({});
   const auto fcm = cwc::compiled_model::compile(net);
-  (void)ctor_allocs([&] { cwc::next_reaction_engine e(net, 3, 0); });
+  (void)ctor_allocs([&] {
+    cwc::next_reaction_engine e(cwc::compiled_model::compile(net), 3, 0);
+  });
   (void)ctor_allocs([&] { cwc::next_reaction_engine e(fcm, 3, 0); });
-  const std::uint64_t nrm_legacy =
-      ctor_allocs([&] { cwc::next_reaction_engine e(net, 3, 1); });
+  const std::uint64_t nrm_legacy = ctor_allocs([&] {
+    cwc::next_reaction_engine e(cwc::compiled_model::compile(net), 3, 1);
+  });
   const std::uint64_t nrm_shared =
       ctor_allocs([&] { cwc::next_reaction_engine e(fcm, 3, 1); });
   EXPECT_LT(nrm_shared, nrm_legacy);
@@ -210,8 +158,8 @@ TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
 
 // ---- the session_test lockstep pattern, through the compiled path --------
 // One model, three backends, all sharing (or wire-shipping + recompiling)
-// one artifact: the streamed windows must stay bit-exact with the batch
-// pipeline — i.e. with the pre-refactor engines the seed suites pin.
+// one artifact: the streamed windows must stay bit-exact with the plain
+// multicore run the seed suites pin.
 TEST(CompiledModel, ThreeBackendsBitExactThroughCompileOnce) {
   const auto m = models::make_neurospora_cwc({});
   cwcsim::sim_config cfg;
@@ -226,7 +174,7 @@ TEST(CompiledModel, ThreeBackendsBitExactThroughCompileOnce) {
   cfg.kmeans_k = 2;
   cfg.seed = 99;
 
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
   ASSERT_FALSE(batch.windows.empty());
 
   for (const cwcsim::backend& b :

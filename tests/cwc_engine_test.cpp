@@ -12,7 +12,7 @@
 namespace {
 
 TEST(FlatEngine, DeterministicPerSeedAndId) {
-  const auto net = models::make_birth_death({});
+  const auto net = cwc::compiled_model::compile(models::make_birth_death({}));
   cwc::flat_engine a(net, 42, 3);
   cwc::flat_engine b(net, 42, 3);
   std::vector<cwc::trajectory_sample> sa, sb;
@@ -25,7 +25,7 @@ TEST(FlatEngine, DeterministicPerSeedAndId) {
 }
 
 TEST(FlatEngine, DifferentTrajectoriesDiffer) {
-  const auto net = models::make_birth_death({});
+  const auto net = cwc::compiled_model::compile(models::make_birth_death({}));
   cwc::flat_engine a(net, 42, 0);
   cwc::flat_engine b(net, 42, 1);
   std::vector<cwc::trajectory_sample> sa, sb;
@@ -43,7 +43,7 @@ TEST(FlatEngine, BirthDeathStationaryMoments) {
   p.lambda = 50.0;
   p.mu = 1.0;
   p.x0 = 50;  // start at the mode to skip burn-in
-  const auto net = models::make_birth_death(p);
+  const auto net = cwc::compiled_model::compile(models::make_birth_death(p));
   stats::welford agg;
   for (std::uint64_t traj = 0; traj < 64; ++traj) {
     cwc::flat_engine eng(net, 7, traj);
@@ -58,7 +58,7 @@ TEST(FlatEngine, BirthDeathStationaryMoments) {
 
 TEST(FlatEngine, SamplesCoverFullGridIncludingStall) {
   // SIR epidemics die out; the sample grid must still be fully emitted.
-  const auto net = models::make_sir({});
+  const auto net = cwc::compiled_model::compile(models::make_sir({}));
   cwc::flat_engine eng(net, 3, 0);
   std::vector<cwc::trajectory_sample> out;
   eng.run_to(400.0, 1.0, out);
@@ -66,14 +66,15 @@ TEST(FlatEngine, SamplesCoverFullGridIncludingStall) {
   for (std::size_t k = 0; k < out.size(); ++k)
     EXPECT_DOUBLE_EQ(out[k].time, static_cast<double>(k));
   // Epidemic over: no infected left at the end.
-  EXPECT_DOUBLE_EQ(out.back().values[net.species().id("I")], 0.0);
+  EXPECT_DOUBLE_EQ(out.back().values[net->flat()->species().id("I")], 0.0);
 }
 
 TEST(FlatEngine, QuantumCompositionInvariance) {
   // Running [0,T] in one call or in many quanta must give identical
   // samples AND identical RNG consumption — the property that makes the
   // pipeline's quantum scheduling statistically transparent.
-  const auto net = models::make_lotka_volterra({});
+  const auto net =
+      cwc::compiled_model::compile(models::make_lotka_volterra({}));
   cwc::flat_engine one(net, 11, 5);
   std::vector<cwc::trajectory_sample> sa;
   one.run_to(8.0, 0.25, sa);
@@ -93,7 +94,7 @@ class quantum_param_test : public ::testing::TestWithParam<double> {};
 
 TEST_P(quantum_param_test, CwcEngineQuantumInvariance) {
   const double quantum = GetParam();
-  const auto m = models::make_neurospora_cwc({});
+  const auto m = cwc::compiled_model::compile(models::make_neurospora_cwc({}));
   cwc::engine ref(m, 5, 2);
   std::vector<cwc::trajectory_sample> sa;
   ref.run_to(20.0, 0.5, sa);
@@ -117,8 +118,10 @@ TEST(CwcEngine, MatchesFlatEngineOnNeurospora) {
   // The compartmentalised and flattened Neurospora models are the same
   // CTMC; ensemble means must agree (they consume RNG differently, so
   // only statistically).
-  const auto tree = models::make_neurospora_cwc({});
-  const auto flat = models::make_neurospora_flat({});
+  const auto tree =
+      cwc::compiled_model::compile(models::make_neurospora_cwc({}));
+  const auto flat =
+      cwc::compiled_model::compile(models::make_neurospora_flat({}));
   const double T = 30.0;
 
   stats::welford tree_m, flat_m;
@@ -138,7 +141,7 @@ TEST(CwcEngine, MatchesFlatEngineOnNeurospora) {
 }
 
 TEST(CwcEngine, StepAdvancesTimeAndState) {
-  const auto m = models::make_neurospora_cwc({});
+  const auto m = cwc::compiled_model::compile(models::make_neurospora_cwc({}));
   cwc::engine eng(m, 1, 0);
   const double t0 = eng.time();
   ASSERT_TRUE(eng.step());
@@ -151,7 +154,7 @@ TEST(CwcEngine, StalledEngineStopsStepping) {
   m.set_initial(cwc::parse_term(m, "2*A"));
   m.add_rule(cwc::parse_rule(m, "fuse", "top: 2*A -> B @ 1.0"));
   m.add_observable("B", m.species().id("B"));
-  cwc::engine eng(m, 1, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 1, 0);
   EXPECT_TRUE(eng.step());
   EXPECT_FALSE(eng.step());  // no more A pairs
   EXPECT_TRUE(eng.stalled());
@@ -225,7 +228,8 @@ TEST(Ode, NeurosporaOscillatesWithCircadianPeriod) {
 }
 
 TEST(Models, CompartmentDemoLifecycle) {
-  const auto m = models::make_compartment_demo({});
+  const auto m =
+      cwc::compiled_model::compile(models::make_compartment_demo({}));
   cwc::engine eng(m, 9, 0);
   std::vector<cwc::trajectory_sample> out;
   eng.run_to(60.0, 1.0, out);
@@ -238,7 +242,7 @@ TEST(Models, CompartmentDemoLifecycle) {
 }
 
 TEST(Models, SchloglIsBistable) {
-  const auto net = models::make_schlogl({});
+  const auto net = cwc::compiled_model::compile(models::make_schlogl({}));
   int low = 0, high = 0;
   for (std::uint64_t i = 0; i < 40; ++i) {
     cwc::flat_engine eng(net, 77, i);

@@ -107,8 +107,9 @@ cwc::model make_churn_model() {
 
 void lockstep_steps(const cwc::model& m, std::uint64_t seed, std::uint64_t id,
                     int steps) {
-  cwc::engine inc(m, seed, id, cwc::engine_mode::incremental);
-  cwc::engine ref(m, seed, id, cwc::engine_mode::reference);
+  const auto cm = cwc::compiled_model::compile(m);
+  cwc::engine inc(cm, seed, id, cwc::engine_mode::incremental);
+  cwc::engine ref(cm, seed, id, cwc::engine_mode::reference);
   for (int i = 0; i < steps; ++i) {
     const bool a = inc.step();
     const bool b = ref.step();
@@ -161,8 +162,9 @@ TEST(IncrementalEngine, QuantumBoundariesMatchReference) {
   // long horizons explode); here bounded models cover content-only rewrites
   // (Neurospora) and structural ones (compartment demo) across quanta.
   for (const bool tree_model : {true, false}) {
-    const cwc::model m = tree_model ? models::make_neurospora_cwc({})
-                                    : models::make_compartment_demo({});
+    const auto m = cwc::compiled_model::compile(
+        tree_model ? models::make_neurospora_cwc({})
+                   : models::make_compartment_demo({}));
 
     cwc::engine ref(m, 7, 1, cwc::engine_mode::reference);
     std::vector<cwc::trajectory_sample> rs;
@@ -190,13 +192,14 @@ TEST(IncrementalEngine, StallMatchesReferenceAcrossQuanta) {
   m.add_rule(cwc::parse_rule(m, "fuse", "top: 2*A -> B @ 1.0"));
   m.add_observable("A", m.species().id("A"));
   m.add_observable("B", m.species().id("B"));
+  const auto cm = cwc::compiled_model::compile(m);
 
-  cwc::engine ref(m, 5, 0, cwc::engine_mode::reference);
+  cwc::engine ref(cm, 5, 0, cwc::engine_mode::reference);
   std::vector<cwc::trajectory_sample> rs;
   ref.run_to(50.0, 1.0, rs);
   ASSERT_TRUE(ref.stalled());
 
-  cwc::engine inc(m, 5, 0, cwc::engine_mode::incremental);
+  cwc::engine inc(cm, 5, 0, cwc::engine_mode::incremental);
   std::vector<cwc::trajectory_sample> is;
   for (double t = 5.0; t <= 50.0 + 1e-9; t += 5.0) inc.run_to(t, 1.0, is);
   EXPECT_TRUE(inc.stalled());
@@ -208,7 +211,7 @@ TEST(IncrementalEngine, StallMatchesReferenceAcrossQuanta) {
 // allocation-free: after warm-up (match lists and multiset universes at
 // capacity), a long run of steps may not allocate at all.
 TEST(IncrementalEngine, SteadyStateStepIsAllocationFree) {
-  const auto m = models::make_neurospora_cwc({});
+  const auto m = cwc::compiled_model::compile(models::make_neurospora_cwc({}));
   cwc::engine eng(m, 123, 0);
   for (int i = 0; i < 300; ++i) ASSERT_TRUE(eng.step());
 

@@ -11,7 +11,8 @@
 namespace {
 
 TEST(NextReaction, DeterministicPerSeed) {
-  const auto net = models::make_lotka_volterra({});
+  const auto net =
+      cwc::compiled_model::compile(models::make_lotka_volterra({}));
   cwc::next_reaction_engine a(net, 4, 2);
   cwc::next_reaction_engine b(net, 4, 2);
   std::vector<cwc::trajectory_sample> sa, sb;
@@ -24,7 +25,7 @@ TEST(NextReaction, DeterministicPerSeed) {
 TEST(NextReaction, BirthDeathStationaryMoments) {
   models::birth_death_params p;
   p.x0 = 50;
-  const auto net = models::make_birth_death(p);
+  const auto net = cwc::compiled_model::compile(models::make_birth_death(p));
   stats::welford agg;
   for (std::uint64_t traj = 0; traj < 48; ++traj) {
     cwc::next_reaction_engine eng(net, 11, traj);
@@ -38,8 +39,9 @@ TEST(NextReaction, BirthDeathStationaryMoments) {
 }
 
 TEST(NextReaction, AgreesWithDirectMethodStatistically) {
-  const auto net = models::make_michaelis_menten({});
-  const auto P = net.species().id("P");
+  const auto net =
+      cwc::compiled_model::compile(models::make_michaelis_menten({}));
+  const auto P = net->flat()->species().id("P");
   stats::welford nrm, direct;
   for (std::uint64_t i = 0; i < 32; ++i) {
     cwc::next_reaction_engine ne(net, 7, i);
@@ -57,7 +59,7 @@ TEST(NextReaction, AgreesWithDirectMethodStatistically) {
 
 TEST(NextReaction, StepCountMatchesDirectOnAverage) {
   // Both methods simulate the same CTMC: expected event counts agree.
-  const auto net = models::make_sir({});
+  const auto net = cwc::compiled_model::compile(models::make_sir({}));
   double nrm_steps = 0.0, direct_steps = 0.0;
   for (std::uint64_t i = 0; i < 24; ++i) {
     cwc::next_reaction_engine ne(net, 3, i);
@@ -74,7 +76,8 @@ TEST(NextReaction, StepCountMatchesDirectOnAverage) {
 }
 
 TEST(NextReaction, QuantumComposable) {
-  const auto net = models::make_lotka_volterra({});
+  const auto net =
+      cwc::compiled_model::compile(models::make_lotka_volterra({}));
   cwc::next_reaction_engine one(net, 21, 0);
   std::vector<cwc::trajectory_sample> sa;
   one.run_to(6.0, 0.25, sa);
@@ -94,7 +97,7 @@ TEST(NextReaction, StallsWhenExhausted) {
   const auto b = net.declare_species("B");
   net.set_initial(a, 3);
   net.add_reaction("decay", {{a, 1}}, {{b, 1}}, cwc::rate_law::mass_action(1.0));
-  cwc::next_reaction_engine eng(net, 1, 0);
+  cwc::next_reaction_engine eng(cwc::compiled_model::compile(net), 1, 0);
   EXPECT_TRUE(eng.step());
   EXPECT_TRUE(eng.step());
   EXPECT_TRUE(eng.step());
@@ -125,7 +128,7 @@ TEST(ModelFile, LoadsCompleteDocument) {
   EXPECT_DOUBLE_EQ(m.observe(m.initial(), 1), 10.0);
 
   // The loaded model actually simulates.
-  cwc::engine eng(m, 5, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 5, 0);
   std::vector<cwc::trajectory_sample> out;
   eng.run_to(5.0, 1.0, out);
   EXPECT_EQ(out.size(), 6u);

@@ -135,8 +135,9 @@ TEST(Trace, CaptureMatchesRealEngineTotals) {
 
   // Steps equal a direct sequential run of the same trajectories.
   std::uint64_t direct_steps = 0;
+  const auto cm = cwc::compiled_model::compile(m);
   for (std::uint64_t i = 0; i < 6; ++i) {
-    cwc::engine eng(m, cfg.seed, i);
+    cwc::engine eng(cm, cfg.seed, i);
     std::vector<cwc::trajectory_sample> out;
     eng.run_to(cfg.t_end, cfg.sample_period, out);
     direct_steps += eng.steps();

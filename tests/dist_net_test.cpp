@@ -374,8 +374,9 @@ TEST(ModelCodec, TreeModelRoundTripsBitExact) {
   ASSERT_EQ(d.observables().size(), m.observables().size());
 
   // ...and behaviourally bit-exact: same seed, same sample path.
+  const auto original_cm = cwc::compiled_model::compile(m);
   for (std::uint64_t id = 0; id < 2; ++id) {
-    cwc::engine original(m, 47, id);
+    cwc::engine original(original_cm, 47, id);
     cwc::engine decoded(cm, 47, id);
     std::vector<cwc::trajectory_sample> so, sd;
     original.run_to(12.0, 0.5, so);
@@ -398,7 +399,7 @@ TEST(ModelCodec, FlatModelRoundTripsBitExact) {
   ASSERT_FALSE(cm->is_tree());
   ASSERT_EQ(cm->flat()->reactions().size(), net.reactions().size());
 
-  cwc::flat_engine original(net, 5, 1);
+  cwc::flat_engine original(cwc::compiled_model::compile(net), 5, 1);
   cwc::flat_engine decoded(cm, 5, 1);
   std::vector<cwc::trajectory_sample> so, sd;
   original.run_to(8.0, 0.25, so);
@@ -446,18 +447,16 @@ TEST(DistributedModelShipping, ShipsOneFramePerHostPerRun) {
   cfg.window_size = 3;
   cfg.window_slide = 3;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 3;
-  dc.workers_per_host = 2;
-  const auto dr = dist::distributed_simulator(m, dc).run();
+  const cwcsim::distributed cluster{3, 2};
+  const auto dr = cwcsim::run(m, cfg, cluster);
 
   const auto frame =
       dist::encode_model(cwcsim::model_ref{&m, nullptr, nullptr});
-  EXPECT_EQ(dr.model_bytes,
-            static_cast<double>(frame.size()) * dc.num_hosts);
+  ASSERT_TRUE(dr.network.has_value());
+  EXPECT_EQ(dr.network->model_bytes,
+            static_cast<double>(frame.size()) * cluster.num_hosts);
   // Model traffic is accounted separately from the result stream.
-  EXPECT_GT(dr.bytes, 0.0);
+  EXPECT_GT(dr.network->bytes, 0.0);
   EXPECT_EQ(dr.result.completions.size(), cfg.num_trajectories);
 }
 
@@ -466,7 +465,9 @@ TEST(DistributedConfig, RejectsNonPositiveQuantum) {
   dist::dist_config dc;
   dc.base.num_trajectories = 4;
   dc.base.quantum = 0.0;  // would never advance simulated time
-  EXPECT_THROW(dist::distributed_simulator(net, dc), util::precondition_error);
+  EXPECT_THROW(
+      dist::cluster_driver(cwcsim::model_ref{nullptr, &net, nullptr}, dc),
+      util::precondition_error);
 }
 
 TEST(DistributedTrace, CapturesPerQuantumRecords) {
@@ -479,11 +480,7 @@ TEST(DistributedTrace, CapturesPerQuantumRecords) {
   cfg.kmeans_k = 0;
   cfg.capture_trace = true;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 2;
-  dc.workers_per_host = 1;
-  auto dr = dist::distributed_simulator(net, dc).run();
+  const auto dr = cwcsim::run(net, cfg, cwcsim::distributed{2, 1});
 
   // One record per executed quantum, shipped over the wire like any other
   // message (completions report each trajectory's quantum count).

@@ -1,6 +1,7 @@
 // Tests for the distributed runtime: serialisation round-trips, the network
-// fabric (ordering, close semantics, latency), and end-to-end equivalence
-// of the distributed simulator with the shared-memory one.
+// fabric (ordering, close semantics, latency), end-to-end equivalence of
+// the distributed backend with the shared-memory one, and the elastic
+// scheduler under stragglers, message loss and host death.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -151,6 +152,22 @@ TEST(NetChannel, MultipleWritersAllDrained) {
   EXPECT_EQ(got, kWriters * kEach);
 }
 
+/// Drive the cluster driver directly, outside a session: the dist_config
+/// knobs the cwcsim::distributed descriptor does not carry (host_speed,
+/// kills, the elastic timeouts) need it.
+cwcsim::run_report run_cluster(const cwcsim::model_ref& model,
+                               dist::dist_config dc) {
+  cwcsim::collecting_sink sink;
+  cwcsim::run_report report;
+  dist::cluster_driver(model, std::move(dc)).run(sink, report);
+  report.result.windows = sink.take_windows();
+  return report;
+}
+
+cwcsim::model_ref flat(const cwc::reaction_network& net) {
+  return cwcsim::model_ref{nullptr, &net, nullptr};
+}
+
 TEST(DistributedSimulator, MatchesMulticoreExactly) {
   const auto m = models::make_neurospora_cwc({});
   cwcsim::sim_config cfg;
@@ -163,15 +180,12 @@ TEST(DistributedSimulator, MatchesMulticoreExactly) {
   cfg.window_size = 5;
   cfg.window_slide = 5;
 
-  const auto mc = cwcsim::simulate(m, cfg);
+  const auto mc = cwcsim::run(m, cfg).result;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 3;
-  dc.workers_per_host = 2;
-  dc.network.latency_s = 1e-4;
-  dc.network.bytes_per_s = 50e6;
-  auto dr = dist::distributed_simulator(m, dc).run();
+  cwcsim::distributed cluster{3, 2};
+  cluster.network.latency_s = 1e-4;
+  cluster.network.bytes_per_s = 50e6;
+  const auto dr = cwcsim::run(m, cfg, cluster);
 
   ASSERT_EQ(dr.result.windows.size(), mc.windows.size());
   for (std::size_t i = 0; i < mc.windows.size(); ++i) {
@@ -186,8 +200,9 @@ TEST(DistributedSimulator, MatchesMulticoreExactly) {
     }
   }
   EXPECT_EQ(dr.result.completions.size(), cfg.num_trajectories);
-  EXPECT_GT(dr.messages, 0u);
-  EXPECT_GT(dr.bytes, 0.0);
+  ASSERT_TRUE(dr.network.has_value());
+  EXPECT_GT(dr.network->messages, 0u);
+  EXPECT_GT(dr.network->bytes, 0.0);
 }
 
 TEST(DistributedSimulator, SingleHostDegenerateCase) {
@@ -199,11 +214,7 @@ TEST(DistributedSimulator, SingleHostDegenerateCase) {
   cfg.quantum = 2.0;
   cfg.kmeans_k = 0;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 1;
-  dc.workers_per_host = 2;
-  auto dr = dist::distributed_simulator(net, dc).run();
+  const auto dr = cwcsim::run(net, cfg, cwcsim::distributed{1, 2});
   EXPECT_EQ(dr.result.all_cuts().size(), cfg.num_samples());
 }
 
@@ -212,7 +223,7 @@ TEST(DistributedSimulator, RejectsMoreHostsThanTrajectories) {
   dist::dist_config dc;
   dc.base.num_trajectories = 2;
   dc.num_hosts = 5;
-  EXPECT_THROW(dist::distributed_simulator(net, dc), util::precondition_error);
+  EXPECT_THROW(dist::cluster_driver(flat(net), dc), util::precondition_error);
 }
 
 // ------------------- elastic scheduling & fault injection -----------------
@@ -251,38 +262,42 @@ TEST(DistributedElastic, StaticPartitionMatchesElasticExactly) {
   const auto net = models::make_birth_death({});
   const auto cfg = fault_base_config();
 
-  dist::dist_config elastic;
-  elastic.base = cfg;
-  elastic.num_hosts = 4;
-  elastic.workers_per_host = 1;
+  cwcsim::distributed elastic{4, 1};
   elastic.network.latency_s = 1e-4;
 
-  dist::dist_config fixed = elastic;
-  fixed.scheduling = dist::schedule_mode::static_block;
+  cwcsim::distributed fixed = elastic;
+  fixed.static_partition = true;
 
-  const auto er = dist::distributed_simulator(net, elastic).run();
-  const auto sr = dist::distributed_simulator(net, fixed).run();
+  const auto er = cwcsim::run(net, cfg, elastic);
+  const auto sr = cwcsim::run(net, cfg, fixed);
   expect_windows_bit_exact(er.result.windows, sr.result.windows);
 
   // Elastic honesty counters: one grant per trajectory in a healthy run
   // is the floor (duplicate requests may add more), and every accepted
   // quantum is attributed to exactly one host.
-  EXPECT_GE(er.grants, cfg.num_trajectories);
+  EXPECT_GE(er.network->grants, cfg.num_trajectories);
   std::uint64_t quanta = 0;
   for (const auto& d : er.result.completions) quanta += d.quanta;
   std::uint64_t accepted = 0;
-  ASSERT_EQ(er.host_quanta.size(), elastic.num_hosts);
-  for (const auto q : er.host_quanta) accepted += q;
+  ASSERT_EQ(er.network->host_quanta.size(), elastic.num_hosts);
+  for (const auto q : er.network->host_quanta) accepted += q;
   EXPECT_EQ(accepted, quanta);
   // The static path reports no elastic counters.
-  EXPECT_EQ(sr.grants, 0u);
-  EXPECT_TRUE(sr.host_quanta.empty());
+  EXPECT_EQ(sr.network->grants, 0u);
+  EXPECT_TRUE(sr.network->host_quanta.empty());
 }
 
-/// Kill 1 of 4 hosts at {25, 50, 75}% of its expected share of simulated
-/// time, under drop_prob in {0, 0.05}: the elastic scheduler must finish
-/// with results bit-identical to the no-fault run and exactly-once
-/// completion accounting.
+/// Kill 1 of 4 hosts at {25, 50, 75}% of one trajectory's simulated time,
+/// under drop_prob in {0, 0.05}: the elastic scheduler must finish with
+/// results bit-identical to the no-fault run and exactly-once completion
+/// accounting.
+///
+/// The kill point lies inside host 1's FIRST lease: a grant runs its
+/// trajectory from t = 0 (replaying acked quanta), so host 1 dies during
+/// whatever trajectory it is handed first. The surviving hosts run at
+/// 1/kSurvivorSlowdown speed, so they cannot drain the work queue before
+/// host 1 asks for its first grant — the pull scheduler cannot starve the
+/// host that must die.
 class fault_matrix
     : public ::testing::TestWithParam<std::tuple<double, double>> {};
 
@@ -301,16 +316,14 @@ TEST_P(fault_matrix, SurvivesHostDeathBitExactly) {
   dc.worker_retry_s = 0.02;
 
   // Reference: the same elastic deployment with no faults at all.
-  const auto reference = dist::distributed_simulator(net, dc).run();
+  const auto reference = run_cluster(flat(net), dc);
 
+  constexpr double kSurvivorSlowdown = 500.0;
   dc.network.drop_prob = drop_prob;
-  dist::distributed_simulator sim(net, dc);
-  // A host's fair share of the campaign is N * t_end / num_hosts simulated
-  // seconds; kill host 1 partway through its share.
-  const double share =
-      static_cast<double>(cfg.num_trajectories) * cfg.t_end / dc.num_hosts;
-  sim.kill_host(1, progress_frac * share);
-  const auto dr = sim.run();
+  dc.host_speed.assign(dc.num_hosts, 1.0 / kSurvivorSlowdown);
+  dc.host_speed[1] = 1.0;
+  dc.kills.push_back(dist::kill_spec{1, progress_frac * cfg.t_end});
+  const auto dr = run_cluster(flat(net), dc);
 
   // Bit-exact results despite the death (and the message loss).
   expect_windows_bit_exact(reference.result.windows, dr.result.windows);
@@ -328,12 +341,12 @@ TEST_P(fault_matrix, SurvivesHostDeathBitExactly) {
   std::uint64_t quanta = 0;
   for (const auto& d : dr.result.completions) quanta += d.quanta;
   std::uint64_t accepted = 0;
-  for (const auto q : dr.host_quanta) accepted += q;
+  for (const auto q : dr.network->host_quanta) accepted += q;
   EXPECT_EQ(accepted, quanta);
 
   // The dead host's in-flight work was re-issued, and the master saw it.
-  EXPECT_GE(dr.reissued, 1u);
-  EXPECT_GE(dr.grants, cfg.num_trajectories + dr.reissued);
+  EXPECT_GE(dr.network->reissued, 1u);
+  EXPECT_GE(dr.network->grants, cfg.num_trajectories + dr.network->reissued);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -349,9 +362,9 @@ TEST(DistributedFaults, AllHostsDeadFailsCleanly) {
   dc.workers_per_host = 1;
   dc.reissue_after_s = 0.05;
   dc.master_tick_s = 0.01;
-  dist::distributed_simulator sim(net, dc);
-  sim.kill_host(0, 1.0).kill_host(1, 1.0);  // both die almost immediately
-  EXPECT_THROW(sim.run(), std::runtime_error);
+  // Both hosts die almost immediately.
+  dc.kills = {dist::kill_spec{0, 1.0}, dist::kill_spec{1, 1.0}};
+  EXPECT_THROW(run_cluster(flat(net), dc), std::runtime_error);
 }
 
 TEST(DistributedFaults, StaticSchedulingRejectsKills) {
@@ -359,11 +372,8 @@ TEST(DistributedFaults, StaticSchedulingRejectsKills) {
   dist::dist_config dc;
   dc.base = fault_base_config();
   dc.scheduling = dist::schedule_mode::static_block;
-  dist::distributed_simulator sim(net, dc);
-  EXPECT_THROW(sim.kill_host(0, 1.0), util::precondition_error);
   dc.kills.push_back(dist::kill_spec{0, 1.0});
-  EXPECT_THROW(dist::distributed_simulator(net, dc),
-               util::precondition_error);
+  EXPECT_THROW(dist::cluster_driver(flat(net), dc), util::precondition_error);
 }
 
 /// Regression for the deadlock bug: a host whose engine throws used to
@@ -388,8 +398,8 @@ TEST_P(throwing_host_test, YieldsErrorNotHang) {
   dc.workers_per_host = 2;
   dc.scheduling = GetParam();
   dc.master_tick_s = 0.01;
-  dist::distributed_simulator sim(net, dc);
-  EXPECT_THROW(sim.run(), std::runtime_error);  // finishes, never hangs
+  // Finishes, never hangs.
+  EXPECT_THROW(run_cluster(flat(net), dc), std::runtime_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, throwing_host_test,

@@ -1,10 +1,11 @@
 // Tests for the unified streaming run API (core/session.hpp): one
 // run_builder program swapping backends, on-line window subscription
-// bit-exact with the batch results, ordered delivery, cooperative
+// bit-exact with the collected report, ordered delivery, cooperative
 // cancellation, centralized validation, and the sampling-grid hardening.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <vector>
 
 #include "core/cwcsim.hpp"
@@ -54,11 +55,11 @@ void expect_windows_bitexact(const std::vector<cwcsim::window_summary>& a,
 // The acceptance criterion of the redesign: a single run_builder program
 // executes the same model on all three backends by swapping only the
 // backend argument, receives windows through on_window before wait()
-// returns, and the stream is bit-exact with the batch cwcsim::simulate().
+// returns, and the stream is bit-exact with a plain multicore run.
 TEST(Session, OneProgramThreeBackendsBitExactStreams) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
   ASSERT_FALSE(batch.windows.empty());
 
   auto run_on = [&](cwcsim::backend b) {
@@ -250,25 +251,15 @@ TEST(Session, SubscriptionAfterStartIsRejected) {
   (void)s.wait();
 }
 
-TEST(Session, RunFacadeMatchesBatchHelper) {
-  const auto net = models::make_birth_death({});
-  auto cfg = small_config();
-  cfg.t_end = 6.0;
-  cfg.kmeans_k = 0;
-  const auto report = cwcsim::run(net, cfg);
-  const auto batch = cwcsim::simulate(net, cfg);
-  expect_windows_bitexact(report.result.windows, batch.windows);
-  EXPECT_EQ(report.backend, "multicore");
-}
-
 // ------------------------- centralized validation -------------------------
 
 TEST(Validate, RejectsDegenerateKnobsWithTypedDiagnostics) {
   const auto base = small_config();
 
-  auto field_of = [](cwcsim::sim_config cfg) -> std::string {
+  auto field_of = [](cwcsim::sim_config cfg,
+                     cwcsim::backend b = cwcsim::multicore{}) -> std::string {
     try {
-      cwcsim::validate(cfg);
+      cwcsim::validate(cfg, b);
     } catch (const cwcsim::config_error& e) {
       return e.field();
     }
@@ -295,6 +286,33 @@ TEST(Validate, RejectsDegenerateKnobsWithTypedDiagnostics) {
   cfg = base;
   cfg.num_trajectories = 0;
   EXPECT_EQ(field_of(cfg), "num_trajectories");
+
+  // NaN and infinite knobs: a NaN horizon has no sample grid, an infinite
+  // one never finishes.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double t_end : {nan, inf, -inf, -1.0}) {
+    cfg = base;
+    cfg.t_end = t_end;
+    EXPECT_EQ(field_of(cfg), "t_end") << t_end;
+  }
+  for (const double bad : {nan, -1.0}) {
+    cwcsim::distributed d;
+    d.network.latency_s = bad;
+    EXPECT_EQ(field_of(base, d), "distributed.network.latency_s") << bad;
+    d = {};
+    d.network.bytes_per_s = bad;
+    EXPECT_EQ(field_of(base, d), "distributed.network.bytes_per_s") << bad;
+    d = {};
+    d.network.drop_prob = bad;
+    EXPECT_EQ(field_of(base, d), "distributed.network.drop_prob") << bad;
+    d = {};
+    d.network.dup_prob = bad;
+    EXPECT_EQ(field_of(base, d), "distributed.network.dup_prob") << bad;
+    cwcsim::gpu g;
+    g.coherence_time = bad;
+    EXPECT_EQ(field_of(base, g), "gpu.coherence_time") << bad;
+  }
 
   // Backend-specific checks flow through the same entry point.
   EXPECT_THROW(cwcsim::validate(base, cwcsim::distributed{0, 2}),
@@ -346,7 +364,7 @@ TEST(Config, EnginesEmitExactlyNumSamplesOnAwkwardGrids) {
   cfg.window_slide = 8;
   cfg.kmeans_k = 0;
   EXPECT_EQ(cfg.num_samples(), 31u);
-  const auto res = cwcsim::simulate(net, cfg);
+  const auto res = cwcsim::run(net, cfg).result;
   EXPECT_EQ(res.all_cuts().size(), cfg.num_samples());
 }
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -335,7 +336,7 @@ TEST(ModelCache, ReleasedPinsAreTrimmedByNextInsert) {
 TEST(Service, BitExactWithMulticoreSameSeed) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
   ASSERT_FALSE(batch.windows.empty());
 
   svc::run_server server;
@@ -371,7 +372,7 @@ TEST(Service, BitExactWithMulticoreSameSeed) {
 TEST(Service, EightTenantsOneCompileEveryTenantFinishes) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
 
   svc::svc_config sc;
   sc.pool_workers = 4;
@@ -415,8 +416,8 @@ TEST(Service, SlowSubscriberThrottlesOnlyItself) {
   svc::svc_config sc;
   sc.pool_workers = 2;
   svc::run_server server(sc);
-  const auto batch_fast = cwcsim::simulate(m, cfg);
-  const auto batch_slow = cwcsim::simulate(m, slow_cfg);
+  const auto batch_fast = cwcsim::run(m, cfg).result;
+  const auto batch_slow = cwcsim::run(m, slow_cfg).result;
 
   std::atomic<std::uint64_t> slow_completions{0};
 
@@ -587,13 +588,17 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
                std::runtime_error);
 
   // Server-side validation: a degenerate config is rejected per-tenant
-  // even when the client driver is bypassed.
-  {
+  // even when the client driver is bypassed — including a NaN horizon,
+  // which would otherwise reach the sample-grid arithmetic.
+  auto slide0 = small_config();
+  slide0.window_slide = 0;
+  auto nan_t_end = small_config();
+  nan_t_end.t_end = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& bad_cfg : {slide0, nan_t_end}) {
     auto conn = server.connect();
     svc::open_request rq;
     rq.conn_id = conn.id();
-    rq.cfg = small_config();
-    rq.cfg.window_slide = 0;  // invalid
+    rq.cfg = bad_cfg;
     rq.model_frame =
         dist::encode_model(cwcsim::model_ref{&m, nullptr, nullptr});
     conn.send(svc::encode_open(rq));
@@ -645,7 +650,7 @@ TEST(Service, CustomRateLawFallsBackToLocalModelSharing) {
 
   auto cfg = small_config();
   cfg.kmeans_k = 0;
-  const auto batch = cwcsim::simulate(net, cfg);
+  const auto batch = cwcsim::run(net, cfg).result;
 
   svc::run_server server;
   const auto report = cwcsim::run(net, cfg, cwcsim::service{&server});
@@ -662,7 +667,7 @@ TEST(Service, WeightedTenantsBothComplete) {
   // bit-exactness are the hard guarantees).
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
 
   svc::svc_config sc;
   sc.pool_workers = 2;
