@@ -317,4 +317,16 @@ BENCHMARK(bm_online_analysis_slide1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the batch engine's dispatched ISA variant in the JSON
+// context: the bm_batch_* numbers depend on the host CPU even in a
+// baseline-ISA build, so bench/run_benches.sh records it in the toolchain
+// block and bench/trend.py refuses to diff across it.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "batch_isa", cwc::batch::isa_name(cwc::batch::default_isa()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

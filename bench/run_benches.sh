@@ -15,14 +15,15 @@
 #     "generated_by": "bench/run_benches.sh",
 #     "min_time": "<min-time>",
 #     "toolchain": {"compiler": str, "build_type": str, "cxx_flags": str,
-#                   "march": str, "native_option": str},
+#                   "march": str, "native_option": str, "batch_isa": str},
 #     "results": [ {"bench": str, "items_per_sec": num|null,
 #                   "real_time_ns": num}, ... ]
 #   }
 # The toolchain block is the build dir's build_info.json (written at CMake
-# configure time): numbers only mean something relative to the compiler,
-# flags, and ISA that produced them, and bench/trend.py refuses to diff
-# across different ISAs.
+# configure time) plus batch_isa, the batch engine's run-time ISA variant
+# on the measuring host (micro_engine's JSON context): numbers only mean
+# something relative to the compiler, flags, and ISA that produced them,
+# and bench/trend.py refuses to diff across different ISAs.
 # Comparing runs: check out the baseline commit, run this script, stash the
 # JSON, check out the candidate, run again, and diff the two files (or eyeball
 # items_per_sec per bench name — higher is better; real_time_ns lower is
@@ -115,6 +116,10 @@ try:
 except (OSError, ValueError):
     toolchain = {"compiler": "unknown", "build_type": "unknown",
                  "cxx_flags": "", "march": "unknown", "native_option": ""}
+# The batch kernels dispatch on the CPU at run time, so a baseline-ISA
+# build's bm_batch_* numbers still depend on the host: record the variant.
+micro = json.loads((tmp / "micro_engine.json").read_text())
+toolchain["batch_isa"] = micro.get("context", {}).get("batch_isa", "unknown")
 
 doc = {
     "generated_by": "bench/run_benches.sh",

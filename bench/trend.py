@@ -25,10 +25,13 @@ checkout, renamed file) degrades to a note, never an error.
 ISA guard: both JSONs carry a "toolchain" block (see run_benches.sh).
 When the baseline and the current run were built for different ISAs
 (toolchain.march differs — e.g. a -DCWCSIM_NATIVE=ON run against a
-baseline-ISA baseline), the numbers measure different machine code and a
-"regression" would be meaningless, so the diff is refused outright:
-"verdict: SKIPPED (ISA mismatch ...)", exit 0, no per-bench rows. A
-baseline predating the toolchain record compares with a warning.
+baseline-ISA baseline), or the batch engine dispatched to different ISA
+variants at run time (toolchain.batch_isa differs — e.g. the same build
+measured on an AVX-512 and an AVX2 host), the numbers measure different
+machine code and a "regression" would be meaningless, so the diff is
+refused outright: "verdict: SKIPPED (ISA mismatch ...)", exit 0, no
+per-bench rows. A baseline predating the toolchain record, or the
+batch_isa field, compares with a warning.
 """
 
 import argparse
@@ -110,6 +113,18 @@ def main():
             print("verdict: SKIPPED (ISA mismatch — benchmark numbers from "
                   "different -march targets are not comparable; rerun both "
                   "sides under the same CWCSIM_NATIVE setting to diff)")
+            return 0
+        b_batch = base_tc.get("batch_isa")
+        c_batch = cur_tc.get("batch_isa")
+        if b_batch is None or c_batch is None:
+            print("warning: a toolchain record predates batch_isa — "
+                  "comparing anyway, batch ISA variant unknown")
+        elif b_batch != c_batch:
+            print(f"baseline batch ISA:  {b_batch}")
+            print(f"current batch ISA:   {c_batch}")
+            print("verdict: SKIPPED (ISA mismatch — the batch engine ran "
+                  "different run-time ISA variants; measure both sides on "
+                  "hosts with the same SIMD width to diff)")
             return 0
     elif base_tc is None:
         print(f"warning: baseline {args.base}:{rel} predates the toolchain "

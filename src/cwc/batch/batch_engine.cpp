@@ -1,6 +1,7 @@
 #include "cwc/batch/batch_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -34,7 +35,95 @@ kernel_mode resolve_mode(kernel_mode requested) {
   return kernel_mode::wide;
 }
 
+/// detail::scoped_isa_override's pin: an isa_level, or -1 for
+/// default_isa().
+std::atomic<int> isa_pin{-1};
+
 }  // namespace
+
+const char* isa_name(isa_level v) noexcept {
+  switch (v) {
+    case isa_level::avx2:
+      return "avx2";
+    case isa_level::avx512:
+      return "avx512";
+    case isa_level::baseline:
+      break;
+  }
+  return "baseline";
+}
+
+// ---- ISA dispatch ------------------------------------------------------
+// The hot members below are CWC_BATCH_HOT (always_inline), as are the
+// batch_kernels.hpp kernels, so isa_entry's target-attributed functions
+// each compile a complete copy of step_quantum's hot call tree at their
+// ISA; an out-of-line helper would run at the baseline ISA whatever
+// variant called it. Cold paths (structural rewrites, class interning)
+// stay out of line at the baseline ISA. The variants are feature lists
+// rather than arch= levels: GCC refuses to inline across differing arch=
+// settings, and FMA is left out of both (contraction is off anyway).
+#if defined(__x86_64__) && defined(__GNUC__)
+#define CWC_BATCH_MULTI_ISA 1
+#define CWC_BATCH_AVX2 "avx2,bmi,bmi2,popcnt"
+#define CWC_BATCH_AVX512 \
+  CWC_BATCH_AVX2 ",avx512f,avx512cd,avx512bw,avx512dq,avx512vl"
+#else
+#define CWC_BATCH_MULTI_ISA 0
+#endif
+#define CWC_BATCH_HOT [[gnu::always_inline]] inline
+
+std::vector<isa_level> supported_isas() {
+  std::vector<isa_level> out{isa_level::baseline};
+#if CWC_BATCH_MULTI_ISA
+  // Exactly the features of CWC_BATCH_AVX2 / CWC_BATCH_AVX512.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi") &&
+      __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("popcnt")) {
+    out.push_back(isa_level::avx2);
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512cd") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512vl"))
+      out.push_back(isa_level::avx512);
+  }
+#endif
+  return out;
+}
+
+isa_level default_isa() {
+  static const isa_level pick = supported_isas().back();
+  return pick;
+}
+
+namespace detail {
+
+scoped_isa_override::scoped_isa_override(isa_level v) : prev_(isa_pin) {
+  const std::vector<isa_level> ok = supported_isas();
+  util::expects(std::find(ok.begin(), ok.end(), v) != ok.end(),
+                "ISA variant not supported by this build and CPU");
+  isa_pin = static_cast<int>(v);
+}
+
+scoped_isa_override::~scoped_isa_override() { isa_pin = prev_; }
+
+}  // namespace detail
+
+#if CWC_BATCH_MULTI_ISA
+struct isa_entry {
+  using samples = std::vector<std::vector<trajectory_sample>>;
+  [[gnu::target(CWC_BATCH_AVX2)]] static void avx2(
+      batch_engine& e, double quantum, double t_end, double sample_period,
+      samples& out) {
+    e.run_quantum(quantum, t_end, sample_period, out);
+  }
+  [[gnu::target(CWC_BATCH_AVX512)]] static void avx512(
+      batch_engine& e, double quantum, double t_end, double sample_period,
+      samples& out) {
+    e.run_quantum(quantum, t_end, sample_period, out);
+  }
+};
+#endif
 
 bool batch_engine::supports(const compiled_model& cm) {
   if (!cm.is_tree()) return false;
@@ -103,6 +192,8 @@ batch_engine::batch_engine(
       cell_a_[c * num_rules_ + j] = cell_tapes_[c]->program(j).a;
   }
 
+  const int pin = isa_pin;
+  isa_ = pin < 0 ? default_isa() : static_cast<isa_level>(pin);
   use_wide_ = resolve_mode(mode) == kernel_mode::wide;
   // Row sweeps go wide once this many lanes dirtied the same row: the wide
   // kernel re-evaluates all `width` columns, so the break-even point is a
@@ -431,6 +522,7 @@ void batch_engine::free_col(class_pool& P, std::uint32_t col) {
   --P.live;
 }
 
+CWC_BATCH_HOT
 void batch_engine::touch_pool(class_pool& P) {
   if (P.flush_round != round_) {
     P.flush_round = round_;
@@ -438,6 +530,7 @@ void batch_engine::touch_pool(class_pool& P) {
   }
 }
 
+CWC_BATCH_HOT
 void batch_engine::mark_block(class_pool& P, std::uint32_t b,
                               std::uint32_t word, std::uint64_t bit) {
   if (P.block_round[b] != round_) {
@@ -447,6 +540,7 @@ void batch_engine::mark_block(class_pool& P, std::uint32_t b,
   P.block_mask[std::size_t{b} * P.mask_words + word] |= bit;
 }
 
+CWC_BATCH_HOT
 void batch_engine::mark_match(class_pool& P, std::uint32_t mi,
                               std::uint32_t word, std::uint64_t bit) {
   if (P.match_round[mi] != round_) {
@@ -457,6 +551,7 @@ void batch_engine::mark_match(class_pool& P, std::uint32_t mi,
   mark_block(P, P.cls->matches[mi].host, word, bit);
 }
 
+CWC_BATCH_HOT
 void batch_engine::mark_reads(class_pool& P, std::uint32_t node, species_id s,
                               std::uint32_t word, std::uint64_t bit) {
   for (const std::uint32_t mi :
@@ -464,6 +559,7 @@ void batch_engine::mark_reads(class_pool& P, std::uint32_t node, species_id s,
     mark_match(P, mi, word, bit);
 }
 
+CWC_BATCH_HOT
 bool batch_engine::note_fire(class_pool& P) {
   touch_pool(P);
   if (P.fires_round != round_) {
@@ -511,6 +607,7 @@ double batch_engine::eval_match_dense(const rate_tape& T, const shape_class& C,
   return T.eval(pg, host_c, cw, cc, 1);
 }
 
+CWC_BATCH_HOT
 double batch_engine::eval_match_pool(const class_pool& P, std::uint32_t mi,
                                      std::uint32_t col) const {
   const shape_class& C = *P.cls;
@@ -529,6 +626,7 @@ double batch_engine::eval_match_pool(const class_pool& P, std::uint32_t mi,
   return T.eval(pg, host_c, cw, cc, cap);
 }
 
+CWC_BATCH_HOT
 const double* batch_engine::gather_cell_a(const class_pool& P,
                                           std::uint32_t rule, tape_head head) {
   // Only the mass-action head carries a per-cell operand: overlays cannot
@@ -544,6 +642,7 @@ const double* batch_engine::gather_cell_a(const class_pool& P,
   return a_scratch_.data();
 }
 
+CWC_BATCH_HOT
 double batch_engine::fold_total_col(const class_pool& P, std::uint32_t col,
                                     std::uint32_t nb) const {
   // Canonical pre-order fold over the block subtotals (the per-column
@@ -555,6 +654,7 @@ double batch_engine::fold_total_col(const class_pool& P, std::uint32_t col,
   return total;
 }
 
+CWC_BATCH_HOT
 std::uint32_t batch_engine::live_nodes(std::size_t lane) const {
   const class_pool& P = *lane_pool_[lane];
   return P.fam != nullptr
@@ -562,6 +662,7 @@ std::uint32_t batch_engine::live_nodes(std::size_t lane) const {
              : static_cast<std::uint32_t>(P.cls->nodes.size());
 }
 
+CWC_BATCH_HOT
 void batch_engine::resum_block_col(class_pool& P, std::uint32_t b,
                                    std::uint32_t col) {
   // Canonical left-to-right fold over the block's matches; infeasible
@@ -576,6 +677,7 @@ void batch_engine::resum_block_col(class_pool& P, std::uint32_t b,
   P.block_sub[std::size_t{b} * cap + col] = sub;
 }
 
+CWC_BATCH_HOT
 void batch_engine::flush_pool(class_pool& P) {
   const shape_class& C = *P.cls;
   const std::size_t cap = P.cap;
@@ -684,6 +786,7 @@ void batch_engine::flush_pool(class_pool& P) {
   P.dirty_b.clear();
 }
 
+CWC_BATCH_HOT
 void batch_engine::record_sample(std::size_t lane, double at,
                                  std::vector<trajectory_sample>& out) {
   const class_pool& P = *lane_pool_[lane];
@@ -721,6 +824,7 @@ void batch_engine::record_sample(std::size_t lane, double at,
   out.push_back(std::move(s));
 }
 
+CWC_BATCH_HOT
 void batch_engine::emit_frozen_tail(std::size_t lane, double t_end,
                                     double sample_period,
                                     std::vector<trajectory_sample>& out) {
@@ -734,6 +838,7 @@ void batch_engine::emit_frozen_tail(std::size_t lane, double t_end,
   time_[lane] = t_end;
 }
 
+CWC_BATCH_HOT
 void batch_engine::apply_fast(class_pool& P, std::uint32_t col,
                               const match_desc& md, const rule_plan& rp) {
   const std::size_t cap = P.cap;
@@ -1505,6 +1610,7 @@ void batch_engine::apply_generic(std::size_t lane, const shape_class& C,
   }
 }
 
+CWC_BATCH_HOT
 void batch_engine::fire(std::size_t lane, double target) {
   class_pool& P = *lane_pool_[lane];
   const std::uint32_t col = lane_col_[lane];
@@ -1569,6 +1675,7 @@ void batch_engine::fire(std::size_t lane, double target) {
   ++steps_[lane];
 }
 
+CWC_BATCH_HOT
 void batch_engine::drain_lane(std::size_t lane, double t_end,
                               double sample_period,
                               std::vector<trajectory_sample>& out) {
@@ -1624,6 +1731,24 @@ void batch_engine::step_quantum(
     std::vector<std::vector<trajectory_sample>>& out) {
   util::expects(quantum > 0.0, "quantum must be positive");
   util::expects(sample_period > 0.0, "sample period must be positive");
+  switch (isa_) {
+#if CWC_BATCH_MULTI_ISA
+    case isa_level::avx512:
+      isa_entry::avx512(*this, quantum, t_end, sample_period, out);
+      return;
+    case isa_level::avx2:
+      isa_entry::avx2(*this, quantum, t_end, sample_period, out);
+      return;
+#endif
+    default:
+      run_quantum(quantum, t_end, sample_period, out);  // baseline copy
+  }
+}
+
+CWC_BATCH_HOT
+void batch_engine::run_quantum(
+    double quantum, double t_end, double sample_period,
+    std::vector<std::vector<trajectory_sample>>& out) {
   const std::size_t w = width();
   out.resize(w);
 

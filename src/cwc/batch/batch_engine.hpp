@@ -19,7 +19,7 @@
 //     into the shared cwc::compiled_model (cwc/rate_tape.hpp): zero
 //     per-kind dispatch inside the per-lane loop, and the wide kernels
 //     (batch_kernels.hpp) hoist every op/head branch outside the column
-//     loop so `-march` builds auto-vectorize it;
+//     loop so the compiler auto-vectorizes it at each ISA variant below;
 //   - each lockstep round is phased across the ensemble: stall tails,
 //     then per-pool totals + exponential clock draws, then sample
 //     emission/parking, then selection draws + firings, then one deferred
@@ -45,6 +45,14 @@
 // kernels stay exact because every vectorized operation is an element-wise
 // IEEE elementary op and libm calls stay scalar per lane
 // (batch_kernels.hpp).
+//
+// ISA dispatch: step_quantum's hot call tree (phase loops, flush, fire,
+// drain, sample emission and the wide kernels) is compiled once per
+// isa_level on x86-64 and each engine runs the widest variant the CPU
+// supports, picked once per process — the default build runs the lanes
+// at the host's SIMD width with no build option. Every variant stays
+// bit-identical to the baseline-compiled scalar engine: the src/ build
+// compiles with -ffp-contract=off, so no variant fuses a multiply-add.
 //
 // Sweep campaigns: the multi-cell constructor batches lanes from DIFFERENT
 // parameter cells of one campaign — rate-constant overlays of one
@@ -80,14 +88,51 @@ enum class kernel_mode : std::uint8_t {
   /// variable ("scalar" | "wide"), else use the wide kernels.
   automatic,
   /// The scalar-identical fallback: per-(row, lane) tape evaluation and
-  /// per-lane folds only — what a baseline-ISA build effectively runs,
-  /// and the reference the lockstep tests pin the wide kernels against.
+  /// per-lane folds only — the reference the lockstep tests pin the wide
+  /// kernels against.
   scalar,
   /// Lane-innermost wide kernels over rows enough lanes dirtied; rows
   /// below the width thresholds still evaluate scalar, so narrow batches
   /// degrade gracefully.
   wide,
 };
+
+/// SIMD variant of the engine's hot paths (see "ISA dispatch" above).
+enum class isa_level : std::uint8_t {
+  baseline,  ///< the build's own target (SSE2 x86-64 by default)
+  avx2,      ///< + AVX2, BMI1/2, POPCNT: x86-64-v3 minus FMA
+  avx512,    ///< + AVX-512 F/CD/BW/DQ/VL: x86-64-v4 minus FMA
+};
+
+/// "baseline" | "avx2" | "avx512".
+const char* isa_name(isa_level v) noexcept;
+
+/// Variants this build carries AND this CPU runs, ascending; always
+/// starts with baseline (the only entry off x86-64).
+std::vector<isa_level> supported_isas();
+
+/// The per-process pick every engine runs: the widest supported variant,
+/// resolved once from the CPU's features.
+isa_level default_isa();
+
+namespace detail {
+
+/// Test seam, not an option: engines constructed while the guard lives —
+/// on any thread, so backend workers too — run variant `v` (which must be
+/// supported) instead of default_isa(), so the exactness suites can pin
+/// every variant. Guards nest; do not overlap them across threads.
+class scoped_isa_override {
+ public:
+  explicit scoped_isa_override(isa_level v);
+  ~scoped_isa_override();
+  scoped_isa_override(const scoped_isa_override&) = delete;
+  scoped_isa_override& operator=(const scoped_isa_override&) = delete;
+
+ private:
+  int prev_;  ///< the pin this guard replaced (-1: none)
+};
+
+}  // namespace detail
 
 class batch_engine {
  public:
@@ -136,6 +181,9 @@ class batch_engine {
     return use_wide_ ? kernel_mode::wide : kernel_mode::scalar;
   }
 
+  /// The ISA variant step_quantum runs (fixed at construction).
+  isa_level active_isa() const noexcept { return isa_; }
+
   /// Number of distinct tree shapes currently compiled for this batch
   /// (diagnostic: 1 for shape-static models like Neurospora).
   std::size_t num_shape_classes() const noexcept { return num_classes_; }
@@ -155,6 +203,7 @@ class batch_engine {
   std::unique_ptr<term> materialize_state(std::size_t lane) const;
 
  private:
+  friend struct isa_entry;  // the per-ISA step_quantum entry points
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
   struct sp_count {
@@ -408,6 +457,10 @@ class batch_engine {
   void apply_generic(std::size_t lane, const shape_class& C,
                      const match_desc& md, const rule_plan& rp,
                      const std::uint32_t* prop_rowmap);
+  /// step_quantum's body: always inlined, with its whole hot call tree,
+  /// into one entry point per isa_level.
+  void run_quantum(double quantum, double t_end, double sample_period,
+                   std::vector<std::vector<trajectory_sample>>& out);
   /// Sparse-tail fast path: advance one lane to its quantum horizon in a
   /// tight scalar loop (per-lane draws, immediate flush after each fire) —
   /// bit-identical to the lockstep rounds, minus the per-round phase
@@ -452,6 +505,7 @@ class batch_engine {
   const double* gather_cell_a(const class_pool& P, std::uint32_t rule,
                               tape_head head);
 
+  isa_level isa_ = isa_level::baseline;
   bool use_wide_ = false;
   /// Minimum dirty-column count for a row sweep to go wide (SIZE_MAX in
   /// scalar mode, so the fallback never touches the wide kernels).

@@ -2,14 +2,19 @@
 //
 // Every kernel here is a plain loop over `cap` contiguous lane columns with
 // all per-op/per-head branching hoisted OUTSIDE the column loop, so the
-// compiler auto-vectorizes the column loop under `-march` targets with
-// 64-bit integer SIMD (see the CWCSIM_NATIVE CMake option). No intrinsics:
-// the scalar fallback compiled from the very same expressions on a baseline
-// ISA produces bit-identical doubles, because every operation is an IEEE
-// elementary op (+, -, *, /, compare, u64->f64 convert) applied
-// element-wise — vector lanes round exactly like scalar registers do.
-// The only libm calls (std::pow for non-integer Hill exponents) stay
-// scalar per column, so vector-libm variance can never leak in.
+// compiler auto-vectorizes the column loop at whatever ISA it compiles it
+// for. The kernels are always_inline: batch_engine.cpp inlines them into
+// each of its per-ISA step_quantum variants (baseline, AVX2, AVX-512 —
+// picked at run time), so every variant gets its own vector code; an
+// out-of-line copy would run at the baseline ISA whatever its caller. No
+// intrinsics: the scalar fallback compiled from the very same expressions
+// on a baseline ISA produces bit-identical doubles, because every
+// operation is an IEEE elementary op (+, -, *, /, compare, u64->f64
+// convert) applied element-wise — vector lanes round exactly like scalar
+// registers do, and -ffp-contract=off keeps a*b+c from fusing into an FMA
+// on targets that have one. The only libm calls (std::pow for non-integer
+// Hill exponents) stay scalar per column, so vector-libm variance can
+// never leak in.
 //
 // Exactness contract: for each column, the wide tape evaluation computes
 // the SAME factor sequence, grouping, and head expression tree as
@@ -62,6 +67,7 @@ namespace detail {
 /// into `ok`. Infeasible columns end with the same +0.0 product scalar
 /// choose returns (a zero factor appears at or before i == have), so even
 /// unmasked intermediate values agree.
+[[gnu::always_inline]]
 inline void eval_segment(const tape_op* ops, std::uint32_t n_ops,
                          const std::uint64_t* base, std::size_t cap,
                          double* __restrict__ acc, std::uint64_t* __restrict__ ok,
@@ -117,6 +123,7 @@ inline void eval_segment(const tape_op* ops, std::uint32_t n_ops,
 /// always read pg's shared parameter block). Per column the arithmetic is
 /// exactly rate_tape::eval on that column's cell tape: a_col[c] IS that
 /// tape's pg.a, multiplied in the same position of the same expression.
+[[gnu::always_inline]]
 inline void tape_eval_wide(const rate_tape& tape, const tape_program& pg,
                            const std::uint64_t* host_c,
                            const std::uint64_t* child_w,
@@ -219,6 +226,7 @@ inline void tape_eval_wide(const rate_tape& tape, const tape_program& pg,
 /// in ascending r — per column, the scalar fold's exact accumulation
 /// order. Serves both block refolds (rows = per-match propensities) and
 /// lane totals (rows = per-node block subtotals).
+[[gnu::always_inline]]
 inline void fold_rows_wide(const double* rows, std::uint32_t first,
                            std::uint32_t count, std::size_t cap,
                            double* __restrict__ out) {

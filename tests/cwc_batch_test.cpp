@@ -9,7 +9,10 @@
 // reparenting, subtree removal, any-context rules, MM kinetics). Quantum
 // edge cases mirror cwc_incremental_test.cpp: lanes finishing mid-quantum,
 // stalls (frozen sample tail), and request_stop() honoured at the quantum
-// boundary through the session facade.
+// boundary through the session facade. The lockstep matrix runs under
+// every ISA variant of the hot paths this CPU supports, pinned through the
+// detail::scoped_isa_override test seam: the per-process pick is always
+// the widest, so the narrower variants would otherwise never run here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -188,26 +191,78 @@ constexpr cwc::batch::kernel_mode kBothKernels[] = {
     cwc::batch::kernel_mode::wide, cwc::batch::kernel_mode::scalar};
 constexpr std::size_t kLockstepWidths[] = {1, 4, 32, 64};
 
+/// Run `body` once per ISA variant this build and CPU support, with every
+/// engine it constructs pinned to that variant.
+template <typename F>
+void for_each_isa(F body) {
+  for (const auto isa : cwc::batch::supported_isas()) {
+    SCOPED_TRACE(cwc::batch::isa_name(isa));
+    const cwc::batch::detail::scoped_isa_override pin(isa);
+    body();
+  }
+}
+
 TEST(BatchEngine, LockstepNeurosporaAcrossWidthsAndKernels) {
   const auto m = models::make_neurospora_cwc({});
-  for (const auto mode : kBothKernels)
-    for (const std::size_t width : kLockstepWidths)
-      lockstep_batch(m, 17, 0, width, 0.7, 12.0, 0.5, mode);
+  for_each_isa([&] {
+    for (const auto mode : kBothKernels)
+      for (const std::size_t width : kLockstepWidths)
+        lockstep_batch(m, 17, 0, width, 0.7, 12.0, 0.5, mode);
+  });
 }
 
 TEST(BatchEngine, LockstepCompartmentDemoAcrossWidthsAndKernels) {
   const auto m = models::make_compartment_demo({});
-  for (const auto mode : kBothKernels)
-    for (const std::size_t width : kLockstepWidths)
-      lockstep_batch(m, 23, 0, width, 0.7, 12.0, 0.5, mode);
+  for_each_isa([&] {
+    for (const auto mode : kBothKernels)
+      for (const std::size_t width : kLockstepWidths)
+        lockstep_batch(m, 23, 0, width, 0.7, 12.0, 0.5, mode);
+  });
 }
 
 TEST(BatchEngine, LockstepChurnModelStructuralRewrites) {
   // Creation at two nesting levels, dissolve with grandchild reparenting,
   // subtree removal, any-context rules — the structural-relayout stress —
   // under both kernels (structural carries + wide re-sweeps must agree).
-  for (const auto mode : kBothKernels)
-    lockstep_batch(make_churn_model(), 31, 0, 8, 0.5, 6.0, 0.25, mode);
+  for_each_isa([] {
+    for (const auto mode : kBothKernels)
+      lockstep_batch(make_churn_model(), 31, 0, 8, 0.5, 6.0, 0.25, mode);
+  });
+}
+
+TEST(BatchEngine, IsaDispatchPicksWidestSupportedVariant) {
+  namespace cb = cwc::batch;
+  const auto isas = cb::supported_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), cb::isa_level::baseline);
+  EXPECT_TRUE(std::is_sorted(isas.begin(), isas.end()));
+  EXPECT_EQ(cb::default_isa(), isas.back());
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+  // Independent oracle: GCC's x86-64 micro-architecture levels are
+  // supersets of the variants' feature lists (plus FMA, which the
+  // variants leave out), so a v4 CPU must get the AVX-512 variant and a
+  // v3 CPU at least the AVX2 one.
+  if (__builtin_cpu_supports("x86-64-v4")) {
+    EXPECT_EQ(cb::default_isa(), cb::isa_level::avx512);
+  } else if (__builtin_cpu_supports("x86-64-v3")) {
+    EXPECT_GE(cb::default_isa(), cb::isa_level::avx2);
+  }
+#endif
+
+  const auto cm =
+      cwc::compiled_model::compile(models::make_neurospora_cwc({}));
+  EXPECT_EQ(cb::batch_engine(cm, 1, 0, 4).active_isa(),
+            cb::default_isa());
+  for (const auto isa : isas) {  // the seam for_each_isa relies on
+    const cb::detail::scoped_isa_override pin(isa);
+    EXPECT_EQ(cb::batch_engine(cm, 1, 0, 4).active_isa(), isa);
+  }
+  EXPECT_EQ(cb::batch_engine(cm, 1, 0, 4).active_isa(),
+            cb::default_isa());
+
+  EXPECT_STREQ(cb::isa_name(cb::isa_level::baseline), "baseline");
+  EXPECT_STREQ(cb::isa_name(cb::isa_level::avx2), "avx2");
+  EXPECT_STREQ(cb::isa_name(cb::isa_level::avx512), "avx512");
 }
 
 TEST(BatchEngine, KernelModeResolution) {

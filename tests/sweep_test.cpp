@@ -2,8 +2,9 @@
 // the one-compile-per-campaign guarantee, and the determinism contract —
 // every (cell, trajectory) replays a standalone engine on a FULL RECOMPILE
 // of the patched model at the same seed, bit for bit, on the farm and the
-// batched backend at several widths, and the report reductions are
-// invariant to worker count and scheduling.
+// batched backend at several widths (under every batch ISA variant the CPU
+// runs), and the report reductions are invariant to worker count and
+// scheduling.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/quantum.hpp"
+#include "cwc/batch/batch_engine.hpp"
 #include "models/models.hpp"
 #include "stats/quantile.hpp"
 #include "sweep/sweep.hpp"
@@ -273,23 +275,29 @@ TEST(SweepCampaign, TreeBackendsAndWidthsMatchRecompiledStandalone) {
   // Farm, batched at width 1 (farm fallback), a width that slices groups
   // across the cell boundary, and one wide enough for a single multi-cell
   // group.
+  // Each batch ISA variant runs the multi-cell constant gather into the
+  // wide mass-action head; pinning reaches the backend's worker threads.
   const std::size_t widths[] = {0, 1, 4, 32};
   std::vector<std::string> jsons;
-  for (const std::size_t w : widths) {
-    SCOPED_TRACE(w);
-    const auto rep =
-        cwcsim::run_sweep(m, cfg, plan, cwcsim::multicore{w});
-    ASSERT_EQ(rep.cells.size(), 2u);
-    jsons.push_back(rep.to_json());
+  for (const auto isa : cwc::batch::supported_isas()) {
+    SCOPED_TRACE(cwc::batch::isa_name(isa));
+    const cwc::batch::detail::scoped_isa_override pin(isa);
+    for (const std::size_t w : widths) {
+      SCOPED_TRACE(w);
+      const auto rep =
+          cwcsim::run_sweep(m, cfg, plan, cwcsim::multicore{w});
+      ASSERT_EQ(rep.cells.size(), 2u);
+      jsons.push_back(rep.to_json());
 
-    const double grows[] = {0.6, 1.4};
-    for (std::size_t c = 0; c < 2; ++c) {
-      SCOPED_TRACE(c);
-      models::compartment_demo_params p;
-      p.k_grow = grows[c];
-      const auto patched = models::make_compartment_demo(p);
-      const auto cm = cwc::compiled_model::compile(patched);
-      expect_points_equal(rep.cells[c].points, reference_points(cm, cfg));
+      const double grows[] = {0.6, 1.4};
+      for (std::size_t c = 0; c < 2; ++c) {
+        SCOPED_TRACE(c);
+        models::compartment_demo_params p;
+        p.k_grow = grows[c];
+        const auto patched = models::make_compartment_demo(p);
+        const auto cm = cwc::compiled_model::compile(patched);
+        expect_points_equal(rep.cells[c].points, reference_points(cm, cfg));
+      }
     }
   }
   // Byte-identical reports across every backend/width.
