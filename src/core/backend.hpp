@@ -57,13 +57,14 @@ class config_error : public util::precondition_error {
 /// Run on this process's cores: the Fig. 2 farm of cfg.sim_workers
 /// simulation engines and cfg.stat_engines statistical engines.
 struct multicore {
-  /// Opt-in ensemble batching: when > 1 (and the model is a tree model
-  /// without custom rate laws), trajectories are sliced into SoA batch
-  /// engines of this many lanes (cwc/batch/batch_engine.hpp) stepped
-  /// quantum-lockstep by a worker pool instead of the per-engine farm.
-  /// Sample paths, windows, and completions are bit-identical either way.
-  /// 0 or 1 — and any unbatchable model, or capture_trace runs — keep the
-  /// classic per-engine farm.
+  /// Opt-in ensemble batching: when lane_rounds::batched() holds for the
+  /// model at this width (> 1, a tree model without custom rate laws) and
+  /// capture_trace is off, trajectories run as SoA batch strips of this
+  /// many lanes on the lockstep executor (core/lane_rounds.hpp) with the
+  /// analysis inline, instead of on the Fig. 2 farm. Sample paths,
+  /// windows, and completions are bit-identical either way. Otherwise the
+  /// farm runs. Sweep campaigns always run on lane_rounds, batched at this
+  /// width when the model allows it and as scalar lanes otherwise.
   std::size_t batch_width = 0;
 };
 
@@ -88,11 +89,12 @@ struct gpu {
   simt::device_spec device{};
   /// Path-decoherence time of the divergence model (see simt::gpu_params).
   double coherence_time = 25.0;
-  /// Lanes per batch engine (the paper's lockstep-kernel granularity):
-  /// when > 1, each kernel advances SoA batches of this many same-model
-  /// trajectories instead of scalar engines one by one. Bit-identical
-  /// results; flat-network and custom-law models fall back to scalar
-  /// lanes. 0 or 1 = scalar lanes.
+  /// Lanes per batch strip of the lockstep executor (core/lane_rounds.hpp):
+  /// when > 1 and the model is batchable, each kernel advances SoA strips
+  /// of this many trajectories instead of scalar engines one by one.
+  /// Results, kernel count and warp packing are identical either way; only
+  /// host speed differs. Flat-network and custom-law models fall back to
+  /// scalar lanes. 0 or 1 = scalar lanes.
   std::size_t batch_width = 0;
 };
 

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
@@ -25,16 +27,20 @@ struct quantum_outcome {
 };
 
 /// Advance `engine` by one quantum of `cfg.quantum` simulated time
-/// (clamped to cfg.t_end), sampling every cfg.sample_period.
-inline quantum_outcome advance_one_quantum(any_engine& engine,
-                                           const sim_config& cfg,
-                                           std::uint64_t trajectory_id,
-                                           std::uint64_t quantum_index) {
+/// (clamped to cfg.t_end), sampling every cfg.sample_period. The samples
+/// land in `buffer`'s storage (its contents are dropped), so a caller that
+/// hands the previous quantum's samples back allocates nothing.
+inline quantum_outcome advance_one_quantum(
+    any_engine& engine, const sim_config& cfg, std::uint64_t trajectory_id,
+    std::uint64_t quantum_index,
+    std::vector<cwc::trajectory_sample> buffer = {}) {
   quantum_outcome out;
   util::stopwatch sw;
   const std::uint64_t steps_before = engine.steps();
 
   out.batch.trajectory_id = trajectory_id;
+  out.batch.samples = std::move(buffer);
+  out.batch.samples.clear();
   const double horizon = std::min(engine.time() + cfg.quantum, cfg.t_end);
   engine.run_to(horizon, cfg.sample_period, out.batch.samples);
   if (engine.stalled() && engine.time() < cfg.t_end) {

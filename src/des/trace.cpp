@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/quantum.hpp"
 #include "stats/stats.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -72,23 +73,16 @@ workload capture_workload(const cwcsim::model_ref& model,
   w.quantum = cfg.quantum;
   w.quanta.resize(cfg.num_trajectories);
 
-  std::vector<cwc::trajectory_sample> scratch;
+  // The farm workers' own per-quantum contract, so the workload is exactly
+  // the quanta a multicore run executes.
   for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i) {
-    auto eng = mr.make_engine(cfg.seed, i);
-    auto& qs = w.quanta[i];
-    while (eng.time() < cfg.t_end) {
-      const std::uint64_t steps_before = eng.steps();
-      const std::size_t samples_before = scratch.size();
-      const double horizon = std::min(eng.time() + cfg.quantum, cfg.t_end);
-      eng.run_to(horizon, cfg.sample_period, scratch);
-      if (eng.stalled() && eng.time() < cfg.t_end)
-        eng.run_to(cfg.t_end, cfg.sample_period, scratch);
-      quantum_work q;
-      q.steps = eng.steps() - steps_before;
-      q.samples = static_cast<std::uint32_t>(scratch.size() - samples_before);
-      qs.push_back(q);
+    cwcsim::any_engine eng = mr.make_engine(cfg.seed, i);
+    for (std::uint64_t q = 0;; ++q) {
+      const cwcsim::quantum_outcome o =
+          cwcsim::advance_one_quantum(eng, cfg, i, q);
+      w.quanta[i].push_back({o.record.ssa_steps, o.record.samples});
+      if (o.finished) break;
     }
-    scratch.clear();
   }
   return w;
 }

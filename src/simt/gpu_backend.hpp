@@ -1,9 +1,13 @@
 // The cwcsim::gpu backend driver: the CWC simulator with the farm of
 // simulation engines replaced by ff_mapCUDA-style lockstep kernels on the
-// SIMT device model (paper §IV-C). Results are bit-for-bit identical to
-// the multicore backend for the same configuration — the per-trajectory
-// RNG streams make trajectories independent of where they execute — while
-// the device clock reports modeled GPU time in run_report::device.
+// SIMT device model (paper §IV-C). Each kernel is one round of the shared
+// lane executor (core/lane_rounds.hpp) run host-serially; the per-lane
+// step counts of the round, packed into warps by predicted cost, give the
+// modeled device time in run_report::device. Results are bit-for-bit
+// identical to the multicore backend for the same configuration — the
+// per-trajectory RNG streams make trajectories independent of where they
+// execute. capture_trace is rejected: kernels have no per-quantum service
+// times.
 //
 // Sessions reach it through run_builder(...).backend(cwcsim::gpu{...}).
 #pragma once
@@ -16,11 +20,11 @@ namespace simt {
 class gpu_driver final : public cwcsim::backend_driver {
  public:
   /// Validates `cfg`, compiles the model, and calibrates the per-step cost
-  /// the lane-time accounting uses. gpu::batch_width > 1 routes tree
-  /// models without custom laws through SoA batch engines: each kernel
-  /// advances whole batches in lockstep, with the same per-lane
-  /// virtual-time accounting and bit-identical results. Unbatchable
-  /// models (flat networks, custom laws) keep scalar lanes.
+  /// the lane-time accounting uses. gpu::batch_width > 1 runs batchable
+  /// models as SoA strips of that width; every other case runs scalar
+  /// lanes. Either way each lane's virtual time is its steps that kernel
+  /// times the calibrated cost, and warps are packed by one rule: the
+  /// lanes that ran, stable-sorted by their previous kernel's steps.
   gpu_driver(cwcsim::model_ref model, const cwcsim::sim_config& cfg,
              const cwcsim::gpu& desc);
 
@@ -37,8 +41,6 @@ class gpu_driver final : public cwcsim::backend_driver {
  private:
   /// Per-quantum path-decoherence fraction of the divergence model.
   double divergence_theta() const noexcept;
-  void run_scalar(cwcsim::event_sink& sink, cwcsim::run_report& report);
-  void run_batched(cwcsim::event_sink& sink, cwcsim::run_report& report);
 
   cwcsim::model_ref model_;
   cwcsim::sim_config cfg_;

@@ -3,10 +3,15 @@
 // the individual stage nodes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "core/cwcsim.hpp"
+#include "core/lane_rounds.hpp"
+#include "core/quantum.hpp"
 #include "models/models.hpp"
+#include "simt/simt.hpp"
 
 namespace {
 
@@ -452,6 +457,187 @@ INSTANTIATE_TEST_SUITE_P(
                       oracle_case{8, 3, 2}, oracle_case{8, 3, 0},
                       oracle_case{5, 5, 2}, oracle_case{5, 5, 0},
                       oracle_case{1, 1, 2}, oracle_case{1, 1, 0}));
+
+// ------------------------------- lane_rounds -------------------------------
+//
+// The lockstep executor behind the batched multicore driver, the gpu driver
+// and sweep campaigns, against a sequential reference: each lane advanced
+// alone by advance_one_quantum. One event stream checks every lane's
+// samples, every completion's (quanta, steps), and the interleaving: per
+// round, strip by strip, a strip's samples in lane order, then its
+// completions.
+
+struct lane_event {
+  std::uint64_t round = 0;
+  std::uint32_t cell = 0;
+  std::uint64_t trajectory = 0;
+  bool done = false;
+  double time = 0.0;           ///< sample events
+  std::vector<double> values;  ///< sample events
+  std::uint64_t quanta = 0;    ///< completion events
+  std::uint64_t steps = 0;     ///< completion events
+  bool operator==(const lane_event&) const = default;
+};
+
+void PrintTo(const lane_event& e, std::ostream* os) {
+  *os << "round " << e.round << " cell " << e.cell << " trajectory "
+      << e.trajectory << (e.done ? " done" : " sample t=") << e.time;
+}
+
+struct lane_reference {
+  std::vector<lane_event> events;
+  /// [round - 1] -> (lane, steps) of every lane that ran in that round.
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> ran;
+};
+
+lane_reference reference_rounds(const cwcsim::lane_rounds::cell_list& cells,
+                                const cwcsim::sim_config& cfg,
+                                std::size_t strip_width) {
+  const std::uint64_t n = cfg.num_trajectories;
+  const std::uint64_t lanes = cells.size() * n;
+  std::vector<std::vector<cwcsim::quantum_outcome>> quanta(lanes);
+  std::size_t rounds = 0;
+  for (std::uint64_t g = 0; g < lanes; ++g) {
+    cwcsim::any_engine eng(cells[g / n], cfg.seed, g % n);
+    for (std::uint64_t q = 0;; ++q) {
+      quanta[g].push_back(cwcsim::advance_one_quantum(eng, cfg, g % n, q));
+      if (quanta[g].back().finished) break;
+    }
+    rounds = std::max(rounds, quanta[g].size());
+  }
+  lane_reference ref;
+  ref.ran.resize(rounds);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::uint64_t first = 0; first < lanes; first += strip_width) {
+      const std::uint64_t end = std::min(lanes, first + strip_width);
+      for (std::uint64_t g = first; g < end; ++g) {
+        if (r >= quanta[g].size()) continue;
+        for (const auto& s : quanta[g][r].batch.samples)
+          ref.events.push_back({r + 1, static_cast<std::uint32_t>(g / n),
+                                g % n, false, s.time, s.values, 0, 0});
+      }
+      for (std::uint64_t g = first; g < end; ++g) {
+        if (r >= quanta[g].size()) continue;
+        const cwcsim::quantum_outcome& o = quanta[g][r];
+        ref.ran[r].emplace_back(g, o.record.ssa_steps);
+        if (o.finished)
+          ref.events.push_back({r + 1, static_cast<std::uint32_t>(g / n),
+                                g % n, true, 0.0, {}, o.done.quanta,
+                                o.done.steps});
+      }
+    }
+  }
+  return ref;
+}
+
+struct lane_case {
+  bool tree;
+  std::size_t cells;
+  std::size_t width;
+  unsigned workers;
+};
+
+void PrintTo(const lane_case& c, std::ostream* os) {
+  *os << (c.tree ? "neurospora" : "lotka-volterra") << ", " << c.cells
+      << " cells, width " << c.width << ", " << c.workers << " workers";
+}
+
+class lane_rounds_test : public ::testing::TestWithParam<lane_case> {};
+
+TEST_P(lane_rounds_test, MatchesSequentialPerLaneReference) {
+  const lane_case& p = GetParam();
+  const auto tree = models::make_neurospora_cwc({});
+  const auto flat = models::make_lotka_volterra({});
+  const auto root = p.tree ? cwc::compiled_model::compile(tree)
+                           : cwc::compiled_model::compile(flat);
+  cwcsim::lane_rounds::cell_list cells{root};
+  if (p.cells == 2)
+    cells.push_back(cwc::compiled_model::overlay(
+        root, {{p.tree ? "translation" : "prey-birth", 1.25}}));
+
+  auto cfg = small_config();
+  cfg.num_trajectories = 7;  // 14 lanes over two cells: width 3 crosses cells
+  cfg.t_end = 6.0;
+  cfg.quantum = 1.25;
+
+  const bool batched = p.tree && p.width > 1;
+  EXPECT_EQ(cwcsim::lane_rounds::batched(cells, p.width), batched);
+  const lane_reference want =
+      reference_rounds(cells, cfg, batched ? p.width : 1);
+
+  cwcsim::lane_rounds lanes(cells, cfg, p.width, p.workers);
+  std::vector<lane_event> got;
+  while (lanes.live() > 0) {
+    const std::uint64_t round = lanes.rounds() + 1;
+    lanes.step(
+        [&](std::uint32_t cell, std::uint64_t trajectory,
+            const cwc::trajectory_sample& s) {
+          got.push_back({round, cell, trajectory, false, s.time, s.values, 0, 0});
+        },
+        [&](std::uint32_t cell, const cwcsim::task_done& d) {
+          got.push_back({round, cell, d.trajectory_id, true, 0.0, {}, d.quanta,
+                         d.steps});
+        });
+    ASSERT_EQ(lanes.rounds(), round);
+    ASSERT_LE(round, want.ran.size());
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ran;
+    for (const auto& w : lanes.last_round()) ran.emplace_back(w.lane, w.steps);
+    EXPECT_EQ(ran, want.ran[round - 1]) << "round " << round;
+  }
+  EXPECT_EQ(lanes.rounds(), want.ran.size());
+  ASSERT_EQ(got.size(), want.events.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want.events[i]) << "event " << i;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, lane_rounds_test, ::testing::ValuesIn([] {
+      std::vector<lane_case> cases;
+      for (const bool tree : {true, false})
+        for (const std::size_t cells : {1u, 2u})
+          for (const std::size_t width : {1u, 3u, 32u})
+            for (const unsigned workers : {1u, 3u})
+              cases.push_back({tree, cells, width, workers});
+      return cases;
+    }()));
+
+TEST(LaneRounds, StopMidRunKeepsEmittedStreamExact) {
+  // A stop requested from a window callback ends every lane_rounds driver
+  // at the next round boundary: the report says stopped, the windows match
+  // the reference over the cuts they cover, and the completions are a
+  // prefix of the full run's.
+  const auto m = models::make_neurospora_cwc({});
+  auto cfg = small_config();
+  cfg.num_trajectories = 7;
+  cfg.t_end = 10.0;
+  cfg.quantum = 0.5;
+  cfg.sim_workers = 3;
+  const captured_run run = capture(m, cfg);
+
+  const cwcsim::backend backends[] = {
+      cwcsim::multicore{3}, cwcsim::gpu{simt::devices::tesla_k40(), 25.0, 0},
+      cwcsim::gpu{simt::devices::tesla_k40(), 25.0, 3}};
+  for (const cwcsim::backend& b : backends) {
+    SCOPED_TRACE(b.index());
+    const auto full = cwcsim::run(m, cfg, b);
+    auto s = cwcsim::run_builder().model(m).config(cfg).backend(b).open();
+    s.on_window([&s](const cwcsim::window_summary&) { s.request_stop(); });
+    const auto rep = s.wait();
+    EXPECT_TRUE(rep.stopped);
+    const std::size_t n = cuts_covered(rep.result.windows);
+    EXPECT_GT(n, 0u);
+    EXPECT_LT(n, run.cuts.size());
+    EXPECT_TRUE(same_bits(rep.result.windows,
+                          reference_windows(run.cuts, n, cfg)));
+    ASSERT_LE(rep.result.completions.size(), full.result.completions.size());
+    for (std::size_t i = 0; i < rep.result.completions.size(); ++i) {
+      EXPECT_EQ(rep.result.completions[i].trajectory_id,
+                full.result.completions[i].trajectory_id);
+      EXPECT_EQ(rep.result.completions[i].steps,
+                full.result.completions[i].steps);
+    }
+  }
+}
 
 // --------------------------- node-level tests ----------------------------
 

@@ -3,6 +3,9 @@
 // links, trace capture invariants, and qualitative scaling properties.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "des/des.hpp"
 #include "models/models.hpp"
 
@@ -143,6 +146,27 @@ TEST(Trace, CaptureMatchesRealEngineTotals) {
     direct_steps += eng.steps();
   }
   EXPECT_EQ(w.total_steps(), direct_steps);
+
+  // Quantum by quantum, the capture is what the multicore farm executes:
+  // its (steps, samples) per (trajectory, quantum_index) equal the farm's
+  // own trace records of the same config.
+  auto traced = cfg;
+  traced.capture_trace = true;
+  traced.sim_workers = 3;
+  const auto farm = cwcsim::run(m, traced).result;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+  for (const auto& r : farm.trace) {
+    ASSERT_LT(r.trajectory_id, w.quanta.size());
+    const auto& traj = w.quanta[r.trajectory_id];
+    ASSERT_LT(r.quantum_index, traj.size()) << "trajectory " << r.trajectory_id;
+    EXPECT_TRUE(seen.emplace(r.trajectory_id, r.quantum_index).second)
+        << "duplicate record";
+    EXPECT_EQ(traj[r.quantum_index].steps, r.ssa_steps)
+        << "trajectory " << r.trajectory_id << ", quantum " << r.quantum_index;
+    EXPECT_EQ(traj[r.quantum_index].samples, r.samples)
+        << "trajectory " << r.trajectory_id << ", quantum " << r.quantum_index;
+  }
+  EXPECT_EQ(seen.size(), w.total_quanta());
 }
 
 TEST(Trace, CalibrationProducesSaneNumbers) {

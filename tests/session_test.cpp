@@ -320,6 +320,15 @@ TEST(Validate, RejectsDegenerateKnobsWithTypedDiagnostics) {
   EXPECT_THROW(cwcsim::validate(base, cwcsim::distributed{2, 0}),
                cwcsim::config_error);
 
+  // Lockstep kernels record no per-quantum service times: a gpu run
+  // rejects trace capture instead of returning an empty trace.
+  cfg = base;
+  cfg.capture_trace = true;
+  EXPECT_EQ(field_of(cfg, cwcsim::gpu{}), "capture_trace");
+  EXPECT_EQ(field_of(cfg, cwcsim::gpu{simt::device_spec{}, 25.0, 32}),
+            "capture_trace");
+  EXPECT_EQ(field_of(cfg), "");  // the multicore farm records the trace
+
   // config_error stays catchable as the historical precondition_error.
   EXPECT_THROW(cwcsim::validate(base, cwcsim::distributed{0, 2}),
                util::precondition_error);

@@ -1,6 +1,6 @@
 // Tests for the SIMT execution model: warp packing, divergence accounting,
-// slot scheduling, the map primitive, the GPU pipeline model, and
-// functional equivalence of the gpu backend with the multicore one.
+// slot scheduling, the GPU pipeline model, and functional equivalence of
+// the gpu backend with the multicore one and across batch widths.
 #include <gtest/gtest.h>
 
 #include "core/cwcsim.hpp"
@@ -62,17 +62,6 @@ TEST(KernelMakespan, PartialLastWarp) {
   const auto st = simt::kernel_makespan(lanes, tiny_device());
   EXPECT_EQ(st.warps, 2u);
   EXPECT_DOUBLE_EQ(st.device_seconds, 2.0);  // both warps fit in the 2 slots
-}
-
-TEST(MapKernel, ExecutesBodyAndAccountsTime) {
-  auto dev = tiny_device();
-  std::vector<int> items = {1, 2, 3, 4};
-  const auto st = simt::map_kernel(dev, std::span<int>(items), [](int& x) {
-    x *= 10;
-    return static_cast<double>(x) / 40.0;
-  });
-  EXPECT_EQ(items, (std::vector<int>{10, 20, 30, 40}));
-  EXPECT_DOUBLE_EQ(st.device_seconds, 1.0);  // max lane = 40/40
 }
 
 TEST(GpuModel, CompletesAllCutsAndReportsDivergence) {
@@ -153,6 +142,38 @@ TEST(GpuSimulator, MatchesMulticoreResultsExactly) {
   EXPECT_GT(gpu.device->device_seconds, 0.0);
   EXPECT_GE(gpu.device->divergence_factor, 1.0);
   EXPECT_EQ(gpu.result.completions.size(), cfg.num_trajectories);
+}
+
+TEST(GpuSimulator, BatchWidthKeepsKernelAccounting) {
+  // Scalar and batched lanes take the same steps each quantum and are
+  // packed into warps by one rule, so the kernel count and the divergence
+  // factor agree. device_seconds scales with the wall-clock ns_per_step
+  // calibration of each driver and is not compared.
+  const auto m = models::make_neurospora_cwc({});
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 40;  // one full 32-lane strip and a short one
+  cfg.t_end = 12.0;
+  cfg.sample_period = 0.5;
+  cfg.quantum = 1.5;
+
+  const auto dev = simt::devices::tesla_k40();
+  const auto scalar = cwcsim::run(m, cfg, cwcsim::gpu{dev, 25.0, 0});
+  const auto batched = cwcsim::run(m, cfg, cwcsim::gpu{dev, 25.0, 32});
+  ASSERT_TRUE(scalar.device.has_value());
+  ASSERT_TRUE(batched.device.has_value());
+  EXPECT_EQ(scalar.device->kernels, batched.device->kernels);
+  EXPECT_NEAR(scalar.device->divergence_factor,
+              batched.device->divergence_factor,
+              1e-12 * scalar.device->divergence_factor);
+  EXPECT_GT(scalar.device->divergence_factor, 1.0);
+  ASSERT_EQ(scalar.result.completions.size(), cfg.num_trajectories);
+  ASSERT_EQ(batched.result.completions.size(), cfg.num_trajectories);
+  for (std::size_t i = 0; i < cfg.num_trajectories; ++i) {
+    EXPECT_EQ(scalar.result.completions[i].trajectory_id,
+              batched.result.completions[i].trajectory_id);
+    EXPECT_EQ(scalar.result.completions[i].steps,
+              batched.result.completions[i].steps);
+  }
 }
 
 TEST(GpuSimulator, QuantumChangesTimingNotResults) {

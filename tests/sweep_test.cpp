@@ -203,6 +203,16 @@ TEST(SweepValidate, TypedErrors) {
   EXPECT_EQ(field_of(cwcsim::sweep::plan().axis("k1", {1.0}),
                      cwcsim::distributed{2, 1}),
             "backend");
+  // Campaigns never surface a trace, so asking for one is an error.
+  auto traced = cfg;
+  traced.capture_trace = true;
+  std::string field;
+  try {
+    cwcsim::validate(traced, mc, cwcsim::sweep::plan().axis("k1", {1.0}));
+  } catch (const cwcsim::config_error& e) {
+    field = e.field();
+  }
+  EXPECT_EQ(field, "capture_trace");
   // N == 0 is rejected by the base config validation.
   auto zero = cfg;
   zero.num_trajectories = 0;
