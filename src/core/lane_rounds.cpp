@@ -54,7 +54,11 @@ lane_rounds::lane_rounds(const cell_list& cells, const sim_config& cfg,
                              workers, strips_.size())))) {}
 
 void lane_rounds::advance() {
-  pool_.for_each(0, static_cast<std::int64_t>(strips_.size()), 1,
+  // A batch strip is a heavy work item, so workers take one at a time. A
+  // scalar lane is light: auto grain takes a chunk of them per shared
+  // cursor bump, which timed faster on the scalar sweep and gpu paths.
+  const std::int64_t grain = strips_.front().batch ? 1 : 0;
+  pool_.for_each(0, static_cast<std::int64_t>(strips_.size()), grain,
                  [this](std::int64_t k) {
                    strip& s = strips_[static_cast<std::size_t>(k)];
                    if (s.live == 0) return;
