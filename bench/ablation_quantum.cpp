@@ -13,7 +13,10 @@ int main() {
   const auto cap = bench::capture_neurospora(1024, 60.0, 0.25);
   const auto cpu_host = des::platforms::nehalem_32core();
   const des::host_spec i3{"i3-quadcore", 4, 1.0, 1.0};
-  const auto k40 = simt::devices::tesla_k40();
+  // The device runs an SSA step 1.5x slower per lane than the calibrated
+  // host core, so both platforms share this run's per-step cost.
+  auto k40 = simt::devices::tesla_k40();
+  k40.lane_step_ns = 1.5 * cap.cal.sim_ns_per_step;
 
   std::printf("=== Ablation A2: quantum sweep, CPU (32 cores) vs GPU (K40) ===\n");
   util::table t({"Q/tau", "CPU (s)", "CPU vs best", "GPU (s)", "GPU vs best",

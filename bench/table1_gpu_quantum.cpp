@@ -19,7 +19,10 @@ int main() {
   const auto cpu_host = des::platforms::nehalem_32core();
   // The paper's K40 sits in a small quad-core i3 host.
   const des::host_spec i3{"i3-quadcore", 4, 1.0, 1.0};
-  const auto k40 = simt::devices::tesla_k40();
+  // The device runs an SSA step 1.5x slower per lane than the calibrated
+  // host core, so both platforms share this run's per-step cost.
+  auto k40 = simt::devices::tesla_k40();
+  k40.lane_step_ns = 1.5 * cap.cal.sim_ns_per_step;
 
   std::printf("=== Table I: execution time (model s), CPU 32 cores vs K40 ===\n");
   util::table t({"N sims", "CPU Q/t=10", "CPU Q/t=1", "GPU Q/t=10", "GPU Q/t=1",

@@ -57,14 +57,11 @@ class config_error : public util::precondition_error {
 /// Run on this process's cores: the Fig. 2 farm of cfg.sim_workers
 /// simulation engines and cfg.stat_engines statistical engines.
 struct multicore {
-  /// Opt-in ensemble batching: when lane_rounds::batched() holds for the
-  /// model at this width (> 1, a tree model without custom rate laws) and
-  /// capture_trace is off, trajectories run as SoA batch strips of this
-  /// many lanes on the lockstep executor (core/lane_rounds.hpp) with the
-  /// analysis inline, instead of on the Fig. 2 farm. Sample paths,
-  /// windows, and completions are bit-identical either way. Otherwise the
-  /// farm runs. Sweep campaigns always run on lane_rounds, batched at this
-  /// width when the model allows it and as scalar lanes otherwise.
+  /// Lanes per farm task: when lane_rounds::batched() holds at this width
+  /// (> 1, a tree model without custom rate laws) and capture_trace is off,
+  /// a task is a batch_engine strip of this many trajectories instead of
+  /// one engine. Results are bit-identical either way. Sweep campaigns run
+  /// on lane_rounds, batched at this width when the model allows it.
   std::size_t batch_width = 0;
 };
 

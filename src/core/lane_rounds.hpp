@@ -1,16 +1,13 @@
-// The quantum-lockstep lane executor shared by every driver that advances
-// a whole campaign round by round: the batched multicore driver, the gpu
-// driver (paper §IV-C: every live trajectory advances one quantum per
-// kernel, cuts are assembled between kernels) and sweep campaigns.
+// The quantum-lockstep lane executor of the gpu driver (paper §IV-C: every
+// live trajectory advances one quantum per kernel, cuts are assembled
+// between kernels) and of sweep campaigns. The multicore farm runs the
+// same strips as pull-scheduled tasks instead (core/nodes.hpp).
 //
 // A campaign is every (cell, trajectory) lane of `cells` — one compiled
 // model, or the rate-constant overlays of one root — in cell-major order:
-// lane g is trajectory g % N of cell g / N, N = cfg.num_trajectories.
-// When batched(cells, batch_width) holds, the lanes are sliced into SoA
-// batch_engine strips of batch_width lanes (a slice may cross a cell
-// boundary); otherwise each lane is its own strip, an any_engine advanced
-// by advance_one_quantum. Either way lane g replays the scalar engine
-// (cells[g / N], cfg.seed, g % N) bit for bit.
+// lane g is trajectory g % N of cell g / N, N = cfg.num_trajectories. The
+// lanes are sliced into strips (core/quantum.hpp): of batch_width lanes
+// when batched(cells, batch_width) holds, of one lane otherwise.
 //
 // step() runs one round: every live strip advances one quantum on a
 // persistent worker pool, then the strips are walked in order and each
@@ -20,23 +17,20 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "core/config.hpp"
-#include "core/messages.hpp"
-#include "cwc/batch/batch_engine.hpp"
+#include "core/quantum.hpp"
 #include "ff/parallel_for.hpp"
 
 namespace cwcsim {
 
 class lane_rounds {
  public:
-  using cell_list = std::vector<std::shared_ptr<const cwc::compiled_model>>;
+  using cell_list = strip::cell_list;
 
   /// True when lanes of `cells` run as batch_engine strips at
   /// `batch_width`: a width above 1 and a batchable model in every cell.
+  /// The multicore farm cuts its strips by the same rule.
   static bool batched(const cell_list& cells, std::size_t batch_width);
 
   /// Every lane of `cells` (non-empty) under `cfg`, advanced by
@@ -66,25 +60,22 @@ class lane_rounds {
     advance();
     ran_.clear();
     for (strip& s : strips_) {
-      if (s.live == 0) continue;
-      const std::size_t width = s.samples.size();
-      for (std::size_t i = 0; i < width; ++i) {
+      if (s.quanta != rounds_) continue;  // retired before this round
+      for (std::size_t i = 0; i < s.width(); ++i) {
         const std::uint64_t lane = s.first + i;
         const auto cell = static_cast<std::uint32_t>(lane / n_);
         for (const cwc::trajectory_sample& x : s.samples[i])
           on_sample(cell, lane % n_, x);
       }
-      for (std::size_t i = 0; i < width; ++i) {
-        if (s.retired[i] != 0) continue;
+      for (std::size_t i = 0; i < s.width(); ++i) {
+        if (s.state[i] == strip::lane::retired) continue;
         const std::uint64_t lane = s.first + i;
         ran_.push_back({lane, s.steps(i) - s.steps_before[i]});
-        if (s.time(i) < cfg_.t_end) continue;
-        s.retired[i] = 1;
-        --s.live;
+        if (s.state[i] != strip::lane::finished) continue;
         --live_;
         task_done d;
         d.trajectory_id = lane % n_;
-        d.quanta = rounds_;
+        d.quanta = s.quanta;
         d.steps = s.steps(i);
         on_done(static_cast<std::uint32_t>(lane / n_), d);
       }
@@ -92,24 +83,6 @@ class lane_rounds {
   }
 
  private:
-  /// Lanes [first, first + width) on one batch engine, or one scalar lane.
-  struct strip {
-    std::uint64_t first = 0;
-    std::unique_ptr<cwc::batch::batch_engine> batch;
-    std::optional<any_engine> scalar;
-    std::vector<std::vector<cwc::trajectory_sample>> samples;  ///< this round
-    std::vector<std::uint64_t> steps_before;                   ///< this round
-    std::vector<std::uint8_t> retired;
-    std::size_t live = 0;
-
-    double time(std::size_t i) const {
-      return batch ? batch->time(i) : scalar->time();
-    }
-    std::uint64_t steps(std::size_t i) const {
-      return batch ? batch->steps(i) : scalar->steps();
-    }
-  };
-
   static std::vector<strip> make_strips(const cell_list& cells,
                                         const sim_config& cfg,
                                         std::size_t batch_width);

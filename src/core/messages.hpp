@@ -79,19 +79,6 @@ struct model_ref {
   }
 };
 
-/// A simulation task: one trajectory advanced quantum by quantum. Tasks are
-/// "wrapped in a C++ object ... passed to the farm of simulation engines"
-/// and rescheduled "back along the feedback channel" until t_end (paper
-/// §IV-A1).
-struct sim_task {
-  std::uint64_t trajectory_id = 0;
-  any_engine engine;
-  std::uint64_t quantum_index = 0;  ///< scheduling rounds completed
-
-  sim_task(std::uint64_t id, any_engine e)
-      : trajectory_id(id), engine(std::move(e)) {}
-};
-
 /// Worker -> scheduler notification that a trajectory reached t_end.
 struct task_done {
   std::uint64_t trajectory_id = 0;

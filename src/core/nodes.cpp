@@ -1,59 +1,60 @@
 #include "core/nodes.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "core/lane_rounds.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
 namespace cwcsim {
 
-// ---------------------------------------------------------------- generator
-
-task_generator::task_generator(model_ref model, const sim_config& cfg,
-                               const event_sink& events)
-    : model_(std::move(model)), cfg_(&cfg), events_(events) {
-  set_name("task-generator");
-  util::expects(model_.compiled != nullptr,
-                "task_generator requires a compiled model");
-}
-
-ff::outcome task_generator::svc(ff::token /*tick*/) {
-  const std::uint64_t n = cfg_->num_trajectories;
-  if (next_ >= n || events_.stop_requested()) return ff::outcome::end;
-  send_out(ff::token::make<sim_task>(
-      next_, model_.make_engine(cfg_->seed, next_)));
-  ++next_;
-  return next_ < n ? ff::outcome::more : ff::outcome::end;
-}
-
 // ---------------------------------------------------------------- scheduler
 
-task_scheduler::task_scheduler(event_sink& events) : events_(events) {
+task_scheduler::task_scheduler(const model_ref& model, const sim_config& cfg,
+                               std::size_t batch_width, event_sink& events)
+    : events_(events) {
   set_name("task-scheduler");
   set_continue_after_eos(true);
+  util::expects(model.compiled != nullptr,
+                "task_scheduler requires a compiled model");
+  const std::uint64_t n = cfg.num_trajectories;
+  const std::uint64_t width =
+      !cfg.capture_trace && lane_rounds::batched({model.compiled}, batch_width)
+          ? batch_width
+          : 1;
+  for (std::uint64_t first = 0; first < n; first += width)
+    tasks_.emplace_back(strip::cell_list{model.compiled}, cfg, first,
+                        std::min(width, n - first));
+}
+
+void task_scheduler::on_init() {
+  // Every task is dispatched before any fed-back one, so no task runs ahead
+  // of a lane that has not started.
+  for (sim_task& task : tasks_) {
+    if (stopping()) break;
+    outstanding_ += task.width();
+    send_out(ff::token::make<sim_task>(std::move(task)));
+  }
+  tasks_ = std::vector<sim_task>();  // every slot was moved from
 }
 
 ff::outcome task_scheduler::maybe_done() const noexcept {
-  return (upstream_done_ && outstanding_ == 0) ? ff::outcome::end
-                                               : ff::outcome::more;
+  return outstanding_ == 0 ? ff::outcome::end : ff::outcome::more;
 }
 
 ff::outcome task_scheduler::svc(ff::token t) {
   if (t.holds<sim_task>()) {
-    const bool fresh = t.as<sim_task>().quantum_index == 0;
-    if (stopping()) {
-      // Cooperative cancellation: retire in-flight tasks instead of
-      // redispatching; fresh tasks were never counted as outstanding.
-      if (!fresh) {
-        util::expects(outstanding_ > 0, "retired task was not outstanding");
-        --outstanding_;
-      }
-      return maybe_done();
+    if (!stopping()) {
+      send_out(std::move(t));
+      return ff::outcome::more;
     }
-    if (fresh) ++outstanding_;
-    ++dispatched_;
-    send_out(std::move(t));
-    return ff::outcome::more;
+    // Cooperative cancellation: retire in-flight tasks, live lanes and
+    // all, instead of redispatching.
+    const std::size_t live = t.as<sim_task>().live;
+    util::expects(outstanding_ >= live, "retired lanes were not outstanding");
+    outstanding_ -= live;
+    return maybe_done();
   }
   if (t.holds<task_done>()) {
     util::expects(outstanding_ > 0, "completion for unknown task");
@@ -66,35 +67,36 @@ ff::outcome task_scheduler::svc(ff::token t) {
   return ff::outcome::more;
 }
 
-ff::outcome task_scheduler::on_upstream_eos() {
-  upstream_done_ = true;
-  return maybe_done();
-}
+ff::outcome task_scheduler::on_upstream_eos() { return maybe_done(); }
 
 // ------------------------------------------------------------------- worker
 
 sim_engine_node::sim_engine_node(const sim_config& cfg, unsigned worker_id)
-    : cfg_(&cfg), worker_id_(worker_id) {
+    : cfg_(&cfg) {
   set_name("sim-engine-" + std::to_string(worker_id));
 }
 
 ff::outcome sim_engine_node::svc(ff::token t) {
   auto task = t.take<sim_task>();
-  auto outcome = advance_one_quantum(task.engine, *cfg_, task.trajectory_id,
-                                     task.quantum_index);
+  util::stopwatch sw;
+  advance_one_quantum(task, *cfg_);
+  const std::uint64_t wall_ns = sw.elapsed_ns();
 
-  ++quanta_;
-  if (cfg_->capture_trace) trace_.push_back(outcome.record);
-
-  if (!outcome.batch.samples.empty())
-    send_out(ff::token::of(std::move(outcome.batch)));
-
-  if (outcome.finished) {
-    send_feedback(ff::token::of(outcome.done));
-  } else {
-    ++task.quantum_index;
-    send_feedback(ff::token::make<sim_task>(std::move(task)));
+  for (std::size_t i = 0; i < task.width(); ++i) {
+    if (task.state[i] == strip::lane::retired) continue;
+    auto& samples = task.samples[i];
+    if (cfg_->capture_trace)  // one-lane tasks: the wall time is the lane's
+      trace_.push_back({task.first + i, task.quanta - 1,
+                        task.steps(i) - task.steps_before[i], wall_ns,
+                        static_cast<std::uint32_t>(samples.size())});
+    if (!samples.empty())
+      send_out(ff::token::of(sample_batch{task.first + i, std::move(samples)}));
   }
+  for (std::size_t i = 0; i < task.width(); ++i)
+    if (task.state[i] == strip::lane::finished)
+      send_feedback(ff::token::of(
+          task_done{task.first + i, task.quanta, task.steps(i)}));
+  if (task.live > 0) send_feedback(ff::token::make<sim_task>(std::move(task)));
   return ff::outcome::more;
 }
 
@@ -139,59 +141,31 @@ ff::outcome stat_engine_node::svc(ff::token t) {
   return ff::outcome::more;
 }
 
-// ------------------------------------------------------------------ reorder
+// ------------------------------------------------------------------ gather
 
-reorder_gather::reorder_gather() { set_name("reorder-gather"); }
+window_gather::window_gather(const sim_config& cfg,
+                             std::function<void(window_summary&&)> push)
+    : builder_(cfg.window_size, cfg.window_slide), push_(std::move(push)) {
+  set_name("window-gather");
+  util::expects(static_cast<bool>(push_), "window_gather requires a consumer");
+}
 
-ff::outcome reorder_gather::svc(ff::token t) {
+ff::outcome window_gather::svc(ff::token t) {
   auto s = t.take<stats::cut_summary>();
   held_.emplace(s.sample_index, std::move(s));
   while (!held_.empty() && held_.begin()->first == next_) {
-    auto node = held_.extract(held_.begin());
-    send_out(ff::token::of(std::move(node.mapped())));
+    for (auto& w : builder_.push(std::move(held_.extract(held_.begin()).mapped())))
+      push_(std::move(w));
     ++next_;
   }
   return ff::outcome::more;
 }
 
-void reorder_gather::on_eos() {
+void window_gather::on_eos() {
   // The aligner emits every cut index once, consecutively from 0, so each
   // held summary was released by its predecessor's arrival.
-  util::ensures(held_.empty(), "reorder_gather: gap in the cut stream");
-}
-
-// ---------------------------------------------------------------- windowing
-
-window_generator::window_generator(const sim_config& cfg)
-    : builder_(cfg.window_size, cfg.window_slide) {
-  set_name("window-generator");
-}
-
-ff::outcome window_generator::svc(ff::token t) {
-  for (auto& w : builder_.push(t.take<stats::cut_summary>()))
-    send_out(ff::token::of(std::move(w)));
-  return ff::outcome::more;
-}
-
-void window_generator::on_eos() {
-  for (auto& w : builder_.flush()) send_out(ff::token::of(std::move(w)));
-}
-
-// --------------------------------------------------------------------- sink
-
-result_sink::result_sink(std::function<void(window_summary&&)> push)
-    : push_(std::move(push)) {
-  set_name("result-sink");
-  util::expects(static_cast<bool>(push_), "result_sink requires a consumer");
-}
-
-ff::outcome result_sink::svc(ff::token t) {
-  if (t.holds<window_summary>()) {
-    push_(t.take<window_summary>());
-    return ff::outcome::more;
-  }
-  util::ensures(false, "result_sink received unexpected token type");
-  return ff::outcome::more;
+  util::ensures(held_.empty(), "window_gather: gap in the cut stream");
+  for (auto& w : builder_.flush()) push_(std::move(w));
 }
 
 }  // namespace cwcsim

@@ -1,15 +1,18 @@
-// The concurrent stages of the CWC simulation-analysis workflow, mapping
-// one-to-one onto the boxes of the paper's Fig. 2:
+// The concurrent stages of the CWC simulation-analysis workflow, the boxes
+// of the paper's Fig. 2 as two farms:
 //
-//  simulation pipeline: task_generator -> [task_scheduler -> sim_engine_node*
-//                       (feedback)] -> trajectory_aligner
-//  analysis pipeline:   [stat_engine_node* -> reorder_gather] ->
-//                       window_generator -> result_sink
+//  simulation: [task_scheduler -> sim_engine_node* (feedback)]
+//  analysis:   [trajectory_aligner -> stat_engine_node* -> window_gather]
 //
-// The statistics farm summarizes each cut once, the gather restores cut
-// order, and the window stage groups the summaries into sliding windows:
-// with overlapping windows (slide < size) a window carries copies of its
-// cuts' summaries rather than re-summarizing them.
+// A task is a strip (core/quantum.hpp): one engine, or a batch_engine slice
+// of multicore::batch_width lanes. The aligner restores time order however
+// far apart the strips run and deals each cut to the statistics farm,
+// which summarizes it once. The gather restores cut order and groups the
+// summaries into sliding windows: with overlapping windows (slide < size)
+// a window carries copies of its cuts' summaries rather than
+// re-summarizing them. Each hop is a thread hand-off that costs up to a
+// scheduler slice when every core runs an engine, so the boxes after the
+// engines share as few threads as keep them concurrent.
 #pragma once
 
 #include <functional>
@@ -27,36 +30,26 @@
 
 namespace cwcsim {
 
-/// Stage 1: generation of simulation tasks. Emits one task per trajectory
-/// id 0..num_trajectories-1, each owning a fresh engine with its own
-/// (seed, id) RNG stream, built from the model's compiled artifact.
-/// Generation ends early once the sink requests stop.
-class task_generator final : public ff::node {
- public:
-  task_generator(model_ref model, const sim_config& cfg,
-                 const event_sink& events);
-  ff::outcome svc(ff::token t) override;
+/// Lanes "wrapped in a C++ object ... passed to the farm of simulation
+/// engines" and rescheduled "back along the feedback channel" (§IV-A1).
+using sim_task = strip;
 
- private:
-  model_ref model_;
-  const sim_config* cfg_;
-  const event_sink& events_;
-  std::uint64_t next_ = 0;
-};
-
-/// Farm emitter: dispatches tasks to simulation engines (on-demand by
-/// default) and receives rescheduled tasks / completion notices on the
-/// feedback channel. Terminates when the generator is done and every
-/// trajectory has completed. Completion notices stream through the sink
-/// as they happen, and once stop is requested in-flight tasks are retired
-/// instead of redispatched.
+/// Farm emitter, and the generation of simulation tasks: cuts trajectories
+/// 0..num_trajectories-1 into strips of batch_width lanes when
+/// lane_rounds::batched() holds and capture_trace is off (traces are per
+/// trajectory), else of one lane, each lane on its own (seed, id) stream.
+/// Dispatches every task to the simulation engines (on-demand by default)
+/// before it receives rescheduled tasks and completion notices on the
+/// feedback channel, and terminates when every lane has completed.
+/// Completion notices stream through the sink as they happen; once stop is
+/// requested, undispatched tasks are dropped and in-flight ones retired.
 class task_scheduler final : public ff::node {
  public:
-  explicit task_scheduler(event_sink& events);
+  task_scheduler(const model_ref& model, const sim_config& cfg,
+                 std::size_t batch_width, event_sink& events);
+  void on_init() override;
   ff::outcome svc(ff::token t) override;
   ff::outcome on_upstream_eos() override;
-
-  std::uint64_t dispatched() const noexcept { return dispatched_; }
 
   /// Completion notices, one per finished trajectory (valid after the run).
   const std::vector<task_done>& completions() const noexcept {
@@ -67,15 +60,14 @@ class task_scheduler final : public ff::node {
   ff::outcome maybe_done() const noexcept;
   bool stopping() const noexcept { return events_.stop_requested(); }
   event_sink& events_;
-  std::uint64_t outstanding_ = 0;
-  std::uint64_t dispatched_ = 0;
-  bool upstream_done_ = false;
+  std::vector<sim_task> tasks_;    ///< built here, dispatched by on_init()
+  std::uint64_t outstanding_ = 0;  ///< dispatched lanes not yet completed
   std::vector<task_done> completions_;
 };
 
-/// Farm worker: runs one simulation quantum, streams the quantum's samples
-/// to the alignment stage, and feeds the task (or a completion notice)
-/// back to the scheduler.
+/// Farm worker: advances a task one quantum, streams each lane's samples
+/// to the alignment stage, and feeds back a completion notice per lane
+/// that finished and the task itself while any lane is live.
 class sim_engine_node final : public ff::node {
  public:
   sim_engine_node(const sim_config& cfg, unsigned worker_id);
@@ -83,19 +75,15 @@ class sim_engine_node final : public ff::node {
 
   /// Per-quantum service-time trace (valid after the run completes).
   const std::vector<quantum_record>& trace() const noexcept { return trace_; }
-  std::uint64_t quanta_executed() const noexcept { return quanta_; }
-  unsigned worker_id() const noexcept { return worker_id_; }
 
  private:
   const sim_config* cfg_;
-  unsigned worker_id_;
-  std::uint64_t quanta_ = 0;
   std::vector<quantum_record> trace_;
 };
 
-/// Stage 3 of the simulation pipeline: "sorts out all received results and
-/// aligns them according to the amount of simulation time", releasing a cut
-/// once every trajectory has contributed its sample.
+/// Analysis farm emitter: "sorts out all received results and aligns them
+/// according to the amount of simulation time", releasing a cut to the
+/// statistics engines once every trajectory has contributed its sample.
 class trajectory_aligner final : public ff::node {
  public:
   trajectory_aligner(const sim_config& cfg, std::size_t num_observables,
@@ -125,40 +113,20 @@ class stat_engine_node final : public ff::node {
 };
 
 /// Analysis farm collector: restores cut order (workers finish out of
-/// order) — the "gather" box of Fig. 2. Cut summaries are keyed by
-/// sample_index, which the aligner emits consecutively from 0.
-class reorder_gather final : public ff::node {
+/// order), groups the ordered summaries into sliding windows, and hands
+/// each window to a consumer as it closes (the gather, window and
+/// GUI/storage boxes of Fig. 2), with no terminal gather-then-copy.
+class window_gather final : public ff::node {
  public:
-  reorder_gather();
+  window_gather(const sim_config& cfg,
+                std::function<void(window_summary&&)> push);
   ff::outcome svc(ff::token t) override;
   void on_eos() override;
 
  private:
   std::map<std::uint64_t, stats::cut_summary> held_;  // keyed by sample_index
   std::uint64_t next_ = 0;
-};
-
-/// Analysis stage after the gather: groups the ordered cut summaries into
-/// sliding windows.
-class window_generator final : public ff::node {
- public:
-  explicit window_generator(const sim_config& cfg);
-  ff::outcome svc(ff::token t) override;
-  void on_eos() override;
-
- private:
   stats::basic_sliding_window_builder<stats::cut_summary> builder_;
-};
-
-/// Terminal stage: hands each ordered window to a consumer as the window
-/// stage emits it (stands in for the GUI/storage of Fig. 2) — no terminal
-/// gather-then-copy.
-class result_sink final : public ff::node {
- public:
-  explicit result_sink(std::function<void(window_summary&&)> push);
-  ff::outcome svc(ff::token t) override;
-
- private:
   std::function<void(window_summary&&)> push_;
 };
 

@@ -1,7 +1,7 @@
 // The master-side align -> summarize -> sliding-window composition shared
 // by every backend that runs the analysis stages inline on one thread (the
-// batched multicore driver, the distributed master, the GPU host loop and
-// the run server). Keeping it in one place is what makes the cross-backend
+// distributed master, the GPU host loop and the run server). Keeping it in
+// one place is what makes the cross-backend
 // bit-exactness guarantee durable: every deployment assembles the same
 // cuts, summarizes each with the same summarize_cut parameters, and groups
 // the summaries into the same windows.

@@ -72,14 +72,15 @@ class channel {
     return false;
   }
 
-  /// Cooperative backoff: brief spin, then yield, then short sleeps. Tuned
-  /// for oversubscribed hosts (many more threads than cores).
+  /// Cooperative backoff: brief spin, then short sleeps. Tuned for
+  /// oversubscribed hosts (many more threads than cores): a sleeper wakes
+  /// with its scheduling share intact, where sched_yield on a host whose
+  /// cores are all busy pushes the caller's deadline back on every call
+  /// and left pipeline stages waiting many milliseconds for a core.
   static void backoff(std::size_t& spins) {
     ++spins;
     if (spins < 16) {
       // busy spin
-    } else if (spins < 64) {
-      std::this_thread::yield();
     } else {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }

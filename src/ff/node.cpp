@@ -64,7 +64,9 @@ void node::run_loop() {
         if (c->kind() == edge_kind::normal) ++open_normal;
       const bool has_normal = open_normal > 0;
 
-      bool done = false;
+      // A node fed by feedback edges alone has no upstream to wait for.
+      bool done = !has_normal && continue_after_eos_ &&
+                  on_upstream_eos() == outcome::end;
       std::size_t spins = 0;
       while (!done) {
         bool got = false;

@@ -53,7 +53,8 @@ class node {
 
   /// Called when every *normal* input has delivered EOS while the node is
   /// configured to keep running on feedback edges (see
-  /// set_continue_after_eos). Return outcome::end to terminate now.
+  /// set_continue_after_eos), or right after on_init() when it has no
+  /// normal input. Return outcome::end to terminate now.
   virtual outcome on_upstream_eos() { return outcome::more; }
 
   /// Human-readable name for debugging/tracing.

@@ -21,10 +21,12 @@ struct device_spec {
   /// heavy kernels like tree-rewriting SSA steps (the per-instance CWC
   /// term lives in local memory): ~1-2 resident warps per SMX.
   unsigned concurrent_warps = 22;
-  /// Per-lane slowdown of one SSA step relative to the calibration CPU
-  /// core when the warp stays in lockstep; path divergence (see
-  /// kernel_makespan) adds the serialisation cost on top.
-  double step_slowdown = 1.5;
+  /// Device time of one SSA step on one lane while the warp stays in
+  /// lockstep; path divergence (see kernel_makespan) adds the
+  /// serialisation cost on top. The defaults are a per-lane slowdown (K40
+  /// 1.5x, laptop 2.5x) of a 150 ns scalar Neurospora step, measured with
+  /// des::calibrate on a 4-core AVX-512 Xeon (GCC 12, Release).
+  double lane_step_ns = 225.0;
   /// Fixed launch + unified-memory sync cost per kernel (UM page
   /// migration of the instance working set is ~100s of microseconds).
   double kernel_launch_s = 300e-6;
@@ -45,7 +47,7 @@ inline device_spec laptop_gpu() {
   d.smx = 4;
   d.cores_per_smx = 128;
   d.concurrent_warps = 6;
-  d.step_slowdown = 2.5;
+  d.lane_step_ns = 375.0;
   return d;
 }
 

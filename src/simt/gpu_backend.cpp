@@ -5,7 +5,6 @@
 
 #include "core/lane_rounds.hpp"
 #include "core/online_analysis.hpp"
-#include "des/trace.hpp"
 #include "simt/executor.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -18,10 +17,7 @@ gpu_driver::gpu_driver(cwcsim::model_ref model, const cwcsim::sim_config& cfg,
   util::expects(model_.tree != nullptr || model_.flat != nullptr,
                 "gpu_driver requires a model");
   cwcsim::validate(cfg_, desc_);
-  // Compile once: the calibration engines below and every kernel lane later
-  // derive from the same shared artifact.
-  model_.compile();
-  ns_per_step_ = des::calibrate(model_, cfg_).sim_ns_per_step;
+  model_.compile();  // every kernel lane derives from one shared artifact
 }
 
 double gpu_driver::divergence_theta() const noexcept {
@@ -74,8 +70,7 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
     packed.clear();
     for (const auto& [lane, steps] : lanes.last_round()) {
       packed.emplace_back(prev_steps[lane], static_cast<double>(steps) *
-                                                ns_per_step_ * 1e-9 *
-                                                dev.step_slowdown);
+                                                dev.lane_step_ns * 1e-9);
       prev_steps[lane] = steps;
     }
     std::stable_sort(packed.begin(), packed.end(),

@@ -19,12 +19,12 @@ namespace simt {
 
 class gpu_driver final : public cwcsim::backend_driver {
  public:
-  /// Validates `cfg`, compiles the model, and calibrates the per-step cost
-  /// the lane-time accounting uses. gpu::batch_width > 1 runs batchable
-  /// models as SoA strips of that width; every other case runs scalar
-  /// lanes. Either way each lane's virtual time is its steps that kernel
-  /// times the calibrated cost, and warps are packed by one rule: the
-  /// lanes that ran, stable-sorted by their previous kernel's steps.
+  /// Validates `cfg` and compiles the model. gpu::batch_width > 1 runs
+  /// batchable models as SoA strips of that width; every other case runs
+  /// scalar lanes. Either way each lane's virtual time is its steps that
+  /// kernel times device_spec::lane_step_ns, and warps are packed by one
+  /// rule: the lanes that ran, stable-sorted by their previous kernel's
+  /// steps. device_seconds thus depends only on (model, cfg, device).
   gpu_driver(cwcsim::model_ref model, const cwcsim::sim_config& cfg,
              const cwcsim::gpu& desc);
 
@@ -45,7 +45,6 @@ class gpu_driver final : public cwcsim::backend_driver {
   cwcsim::model_ref model_;
   cwcsim::sim_config cfg_;
   cwcsim::gpu desc_;
-  double ns_per_step_;  ///< calibration for lane-time accounting
 };
 
 }  // namespace simt

@@ -19,7 +19,7 @@ gpu_outcome simulate_gpu(const des::workload& w, const des::calibration& cal,
                                params.window_size, params.window_slide,
                                out.pipeline);
 
-  const double lane_step_s = cal.sim_ns_per_step * 1e-9 * dev.step_slowdown;
+  const double lane_step_s = dev.lane_step_ns * 1e-9;
   const std::uint64_t rounds = w.max_quanta_per_trajectory();
   std::vector<std::uint64_t> sample_cursor(w.num_trajectories, 0);
   // Cost predictor for warp re-packing: the previous quantum's step count.

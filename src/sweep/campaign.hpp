@@ -4,7 +4,7 @@
 //   auto rep = cwcsim::sweep_builder()
 //                  .model(m)
 //                  .config(cfg)                    // N = cfg.num_trajectories
-//                  .backend(cwcsim::multicore{32}) // farm, or batched lanes
+//                  .backend(cwcsim::multicore{32}) // 32-lane strips
 //                  .plan(cwcsim::sweep::plan()
 //                            .axis("k1", {0.1, 0.3, 1.0})
 //                            .axis_linspace("k2", 0.5, 2.0, 4))

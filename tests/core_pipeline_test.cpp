@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 #include <utility>
 
 #include "core/cwcsim.hpp"
@@ -63,49 +64,6 @@ TEST(Pipeline, CompletionNoticesForEveryTrajectory) {
   }
 }
 
-struct shape {
-  unsigned workers;
-  unsigned stats;
-  double quantum;
-  ff::out_policy policy;
-};
-
-class pipeline_shape_test : public ::testing::TestWithParam<shape> {};
-
-TEST_P(pipeline_shape_test, ResultIndependentOfPipelineShape) {
-  const auto m = models::make_neurospora_cwc({});
-  auto cfg = small_config();
-  const auto reference = cwcsim::run(m, cfg).result;
-
-  const auto p = GetParam();
-  cfg.sim_workers = p.workers;
-  cfg.stat_engines = p.stats;
-  cfg.quantum = p.quantum;
-  cfg.dispatch = p.policy;
-  const auto res = cwcsim::run(m, cfg).result;
-
-  const auto a = cuts_of(reference);
-  const auto b = cuts_of(res);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    for (std::size_t d = 0; d < a[k].moments.size(); ++d) {
-      ASSERT_DOUBLE_EQ(a[k].moments[d].mean(), b[k].moments[d].mean())
-          << "cut " << k << " dim " << d;
-      ASSERT_DOUBLE_EQ(a[k].moments[d].variance(), b[k].moments[d].variance());
-    }
-    ASSERT_EQ(a[k].medians, b[k].medians);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, pipeline_shape_test,
-    ::testing::Values(shape{1, 1, 3.0, ff::out_policy::on_demand},
-                      shape{4, 1, 3.0, ff::out_policy::on_demand},
-                      shape{3, 2, 3.0, ff::out_policy::round_robin},
-                      shape{2, 3, 1.0, ff::out_policy::on_demand},
-                      shape{5, 2, 10.0, ff::out_policy::on_demand},
-                      shape{2, 1, 20.0, ff::out_policy::round_robin}));
-
 TEST(Pipeline, FlatModelRunsThroughSamePipeline) {
   const auto net = models::make_lotka_volterra({});
   auto cfg = small_config();
@@ -150,6 +108,10 @@ TEST(Pipeline, TraceCaptureAccountsAllQuanta) {
   cfg.capture_trace = true;
   const auto res = cwcsim::run(m, cfg).result;
   ASSERT_FALSE(res.trace.empty());
+  // Tracing keeps farm tasks one lane wide, so a batch_width run records a
+  // quantum_record per (trajectory, quantum) too.
+  EXPECT_EQ(cwcsim::run(m, cfg, cwcsim::multicore{32}).result.trace.size(),
+            res.trace.size());
   std::uint64_t total_samples = 0;
   std::uint64_t total_steps = 0;
   for (const auto& q : res.trace) {
@@ -314,6 +276,81 @@ std::size_t cuts_covered(const std::vector<cwcsim::window_summary>& ws) {
   return static_cast<std::size_t>(ws.back().cuts.back().sample_index) + 1;
 }
 
+struct shape {
+  unsigned workers;
+  unsigned stats;
+  double quantum;
+  ff::out_policy policy;
+  std::size_t batch_width = 0;  ///< lanes per farm task
+};
+
+void PrintTo(const shape& p, std::ostream* os) {
+  *os << p.workers << " sim workers, " << p.stats << " stat engines, quantum "
+      << p.quantum
+      << (p.policy == ff::out_policy::on_demand ? ", on-demand" : ", round-robin")
+      << ", batch_width " << p.batch_width;
+}
+
+/// Completions keyed by trajectory: the farm reports them in finishing order.
+std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>>
+by_trajectory(const std::vector<cwcsim::task_done>& done) {
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>> out;
+  for (const auto& d : done) out.emplace_back(d.trajectory_id, d.quanta, d.steps);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class pipeline_shape_test : public ::testing::TestWithParam<shape> {};
+
+TEST_P(pipeline_shape_test, ResultIndependentOfPipelineShape) {
+  // Windows match the one-lane farm bit for bit whatever the farm's shape,
+  // quantum or strip width, including a ragged last strip (40 = 33 + 7)
+  // and more workers than strips; completions match at the same quantum.
+  const auto m = models::make_neurospora_cwc({});
+  auto cfg = small_config();
+  cfg.num_trajectories = 40;
+  const auto reference = cwcsim::run(m, cfg).result;
+
+  const auto p = GetParam();
+  cfg.sim_workers = p.workers;
+  cfg.stat_engines = p.stats;
+  cfg.quantum = p.quantum;
+  cfg.dispatch = p.policy;
+  const auto res = cwcsim::run(m, cfg, cwcsim::multicore{p.batch_width}).result;
+
+  EXPECT_TRUE(same_bits(res.windows, reference.windows));
+  EXPECT_EQ(res.sim_workers, cfg.sim_workers);
+  EXPECT_EQ(res.stat_engines, cfg.stat_engines);
+  if (p.quantum == small_config().quantum)
+    EXPECT_EQ(by_trajectory(res.completions),
+              by_trajectory(reference.completions));
+  else
+    EXPECT_EQ(res.completions.size(), cfg.num_trajectories);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, pipeline_shape_test,
+    ::testing::Values(shape{1, 1, 3.0, ff::out_policy::on_demand},
+                      shape{4, 1, 3.0, ff::out_policy::on_demand},
+                      shape{3, 2, 3.0, ff::out_policy::round_robin},
+                      shape{2, 3, 1.0, ff::out_policy::on_demand},
+                      shape{5, 2, 10.0, ff::out_policy::on_demand},
+                      shape{2, 1, 20.0, ff::out_policy::round_robin},
+                      shape{3, 2, 1.0, ff::out_policy::on_demand, 32}));
+
+// Strips as farm tasks: every strip width on every worker count and both
+// dispatch policies.
+INSTANTIATE_TEST_SUITE_P(
+    Strips, pipeline_shape_test, ::testing::ValuesIn([] {
+      std::vector<shape> cases;
+      for (const std::size_t width : {0u, 4u, 32u, 33u})
+        for (const unsigned workers : {1u, 3u, 9u})
+          for (const auto policy :
+               {ff::out_policy::on_demand, ff::out_policy::round_robin})
+            cases.push_back({workers, 2, 3.0, policy, width});
+      return cases;
+    }()));
+
 /// online_analysis fed time-major, one sample per trajectory in turn.
 std::vector<cwcsim::window_summary> run_online_analysis(
     const captured_run& run, const cwcsim::sim_config& cfg) {
@@ -326,9 +363,9 @@ std::vector<cwcsim::window_summary> run_online_analysis(
   return sink.take_windows();
 }
 
-/// The ff analysis stages of the multicore backend over captured cuts:
-/// stat farm -> reorder_gather -> window_generator. `summarized` receives
-/// the cut count the stat engines summarized between them.
+/// The ff analysis farm of the multicore backend over captured cuts: stat
+/// engines -> window_gather. `summarized` receives the cut count the stat
+/// engines summarized between them.
 std::vector<cwcsim::window_summary> run_ff_analysis(
     const captured_run& run, const cwcsim::sim_config& cfg,
     std::uint64_t& summarized) {
@@ -347,14 +384,12 @@ std::vector<cwcsim::window_summary> run_ff_analysis(
     engines.push_back(e.get());
     workers.push_back(std::move(e));
   }
+  std::vector<cwcsim::window_summary> out;
   auto farm = std::make_unique<ff::farm>(std::move(workers));
   farm->set_dispatch(ff::out_policy::on_demand)
-      .set_collector(std::make_unique<cwcsim::reorder_gather>());
+      .set_collector(std::make_unique<cwcsim::window_gather>(
+          cfg, [&out](cwcsim::window_summary&& w) { out.push_back(std::move(w)); }));
   pipe.add_stage(std::move(farm));
-  pipe.add_stage(std::make_unique<cwcsim::window_generator>(cfg));
-  std::vector<cwcsim::window_summary> out;
-  pipe.add_stage(std::make_unique<cwcsim::result_sink>(
-      [&out](cwcsim::window_summary&& w) { out.push_back(std::move(w)); }));
   pipe.materialize(net);
   net.run_and_wait();
   summarized = 0;
@@ -411,9 +446,11 @@ TEST_P(summarize_once_test, EveryPathMatchesPerWindowReference) {
         << "multicore pipeline, stat_engines " << engines;
   }
 
-  EXPECT_TRUE(same_bits(
-      cwcsim::run(m, cfg, cwcsim::multicore{32}).result.windows, want))
-      << "multicore{batch_width=32}";
+  // Strip tasks: nine 4-lane strips, 32 + 4 lanes, 33 + 3 lanes.
+  for (const std::size_t width : {4u, 32u, 33u})
+    EXPECT_TRUE(same_bits(
+        cwcsim::run(m, cfg, cwcsim::multicore{width}).result.windows, want))
+        << "multicore{batch_width=" << width << "}";
 }
 
 TEST_P(summarize_once_test, StoppedRunsMatchReferenceOverEmittedCuts) {
@@ -439,14 +476,13 @@ TEST_P(summarize_once_test, StoppedRunsMatchReferenceOverEmittedCuts) {
         << " cuts";
   }
 
-  // The batched driver polls the stop flag between rounds on the thread
-  // that emits windows, so it stops right after the first window's round.
+  // 32-lane strips: the scheduler retires each strip, live lanes and all,
+  // when it next comes back, so the run ends with an exact prefix.
   const auto rep = stopped_run(cwcsim::multicore{32}, 1);
-  EXPECT_TRUE(rep.stopped);
   const std::size_t n = cuts_covered(rep.result.windows);
-  EXPECT_LT(n, run.cuts.size());
   EXPECT_TRUE(same_bits(rep.result.windows, reference_windows(run.cuts, n, cfg)))
       << "multicore{batch_width=32}, " << n << " cuts";
+  EXPECT_EQ(rep.stopped, rep.result.completions.size() < cfg.num_trajectories);
 }
 
 // 41 cuts: (16,1), (8,4), (8,3) and (5,5) end in a trailing partial window.
@@ -460,8 +496,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------- lane_rounds -------------------------------
 //
-// The lockstep executor behind the batched multicore driver, the gpu driver
-// and sweep campaigns, against a sequential reference: each lane advanced
+// The lockstep executor behind the gpu driver and sweep campaigns, against a sequential reference: each lane advanced
 // alone by advance_one_quantum. One event stream checks every lane's
 // samples, every completion's (quanta, steps), and the interleaving: per
 // round, strip by strip, a strip's samples in lane order, then its
@@ -603,9 +638,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LaneRounds, StopMidRunKeepsEmittedStreamExact) {
   // A stop requested from a window callback ends every lane_rounds driver
-  // at the next round boundary: the report says stopped, the windows match
-  // the reference over the cuts they cover, and the completions are a
-  // prefix of the full run's.
+  // (gpu, scalar and batched lanes) at the next round boundary: the report
+  // says stopped, the windows match the reference over the cuts they
+  // cover, and the completions are a prefix of the full run's.
   const auto m = models::make_neurospora_cwc({});
   auto cfg = small_config();
   cfg.num_trajectories = 7;
@@ -615,7 +650,7 @@ TEST(LaneRounds, StopMidRunKeepsEmittedStreamExact) {
   const captured_run run = capture(m, cfg);
 
   const cwcsim::backend backends[] = {
-      cwcsim::multicore{3}, cwcsim::gpu{simt::devices::tesla_k40(), 25.0, 0},
+      cwcsim::gpu{simt::devices::tesla_k40(), 25.0, 0},
       cwcsim::gpu{simt::devices::tesla_k40(), 25.0, 3}};
   for (const cwcsim::backend& b : backends) {
     SCOPED_TRACE(b.index());
@@ -641,7 +676,7 @@ TEST(LaneRounds, StopMidRunKeepsEmittedStreamExact) {
 
 // --------------------------- node-level tests ----------------------------
 
-TEST(ReorderGather, RestoresOrderFromShuffledCuts) {
+TEST(WindowGather, RestoresOrderFromShuffledCuts) {
   ff::network net;
   auto* src = net.add(ff::make_node([i = 0](auto& self, ff::token) mutable {
     // Emit cut summaries keyed 1, 0, 3, 2 out of order.
@@ -652,14 +687,15 @@ TEST(ReorderGather, RestoresOrderFromShuffledCuts) {
     self.send_out(ff::token::of(std::move(s)));
     return i < 4 ? ff::outcome::more : ff::outcome::end;
   }));
-  auto* reorder = net.emplace<cwcsim::reorder_gather>();
+  auto cfg = small_config();
+  cfg.window_size = 1;
+  cfg.window_slide = 1;
   std::vector<std::uint64_t> got;
-  auto* sink = net.add(ff::make_node([&got](auto&, ff::token t) {
-    got.push_back(t.template as<stats::cut_summary>().sample_index);
-    return ff::outcome::more;
-  }));
-  net.connect(src, reorder);
-  net.connect(reorder, sink);
+  auto* gather = net.emplace<cwcsim::window_gather>(
+      cfg, [&got](cwcsim::window_summary&& w) {
+        got.push_back(w.cuts.front().sample_index);
+      });
+  net.connect(src, gather);
   net.run_and_wait();
   EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 1, 2, 3}));
 }

@@ -380,11 +380,26 @@ TEST(BatchEngine, BatchedGpuBackendSurvivesStaggeredGroupRetirement) {
   EXPECT_GT(gpu_batched.device->kernels, 1u);  // retirement really staggers
   expect_same_windows(gpu_batched);
 
-  // The batched multicore driver shares the retired-group hazard; hold it
-  // to the same staggered-retirement bar.
+  // Farm strips share the retired-group hazard: a strip whose lanes retire
+  // at different quanta keeps running with some lanes done. Hold it to the
+  // same staggered-retirement bar.
   const auto mc_batched =
       cwcsim::run(m, cfg, cwcsim::multicore{/*batch_width=*/2});
   expect_same_windows(mc_batched);
+
+  // A stop retires partly live strips: the scheduler must drop exactly
+  // their live lanes from its count, or the run never ends.
+  auto s = cwcsim::run_builder()
+               .model(m)
+               .config(cfg)
+               .backend(cwcsim::multicore{/*batch_width=*/2})
+               .open();
+  s.on_window([&s](const cwcsim::window_summary&) { s.request_stop(); });
+  const auto stopped = s.wait();
+  ASSERT_LE(stopped.result.windows.size(), farm.result.windows.size());
+  for (std::size_t w = 0; w < stopped.result.windows.size(); ++w)
+    EXPECT_EQ(stopped.result.windows[w].first_sample,
+              farm.result.windows[w].first_sample);
 }
 
 TEST(BatchEngine, RejectsFlatAndCustomLawModels) {

@@ -15,7 +15,7 @@ simt::device_spec tiny_device() {
   d.warp_size = 4;
   d.concurrent_warps = 2;
   d.kernel_launch_s = 0.0;
-  d.step_slowdown = 1.0;
+  d.lane_step_ns = 100.0;
   return d;
 }
 
@@ -146,9 +146,9 @@ TEST(GpuSimulator, MatchesMulticoreResultsExactly) {
 
 TEST(GpuSimulator, BatchWidthKeepsKernelAccounting) {
   // Scalar and batched lanes take the same steps each quantum and are
-  // packed into warps by one rule, so the kernel count and the divergence
-  // factor agree. device_seconds scales with the wall-clock ns_per_step
-  // calibration of each driver and is not compared.
+  // packed into warps by one rule, and a step costs the device's fixed
+  // lane_step_ns, so the kernel count, the divergence factor and the
+  // device time agree, run after run.
   const auto m = models::make_neurospora_cwc({});
   cwcsim::sim_config cfg;
   cfg.num_trajectories = 40;  // one full 32-lane strip and a short one
@@ -166,6 +166,9 @@ TEST(GpuSimulator, BatchWidthKeepsKernelAccounting) {
               batched.device->divergence_factor,
               1e-12 * scalar.device->divergence_factor);
   EXPECT_GT(scalar.device->divergence_factor, 1.0);
+  EXPECT_EQ(scalar.device->device_seconds, batched.device->device_seconds);
+  EXPECT_EQ(cwcsim::run(m, cfg, cwcsim::gpu{dev, 25.0, 0}).device->device_seconds,
+            scalar.device->device_seconds);
   ASSERT_EQ(scalar.result.completions.size(), cfg.num_trajectories);
   ASSERT_EQ(batched.result.completions.size(), cfg.num_trajectories);
   for (std::size_t i = 0; i < cfg.num_trajectories; ++i) {
